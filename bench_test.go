@@ -20,6 +20,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/prompt"
 	"repro/internal/transport"
+	"repro/internal/vectordb"
 )
 
 var (
@@ -386,7 +387,9 @@ func BenchmarkVectorTopKDiverse(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cop.Index().TopKDiverse(query, inc.CreatedAt, 5, 0.3); err != nil {
+		if _, err := cop.Index().Search([]vectordb.Query{{
+			Vector: query, Time: inc.CreatedAt, K: 5, Alpha: 0.3, Diverse: true,
+		}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,10 +15,10 @@
 //	experiments -parallel-budget 16 # pin the worker budget explicitly
 //	experiments -auto-limit         # latency-driven worker budget
 //
-// The retrieval goldens are index-independent: -shards swaps the vector
-// store behind every pipeline for the sharded implementation (category-hash
+// The retrieval goldens are shard-count-independent: -shards sets how many
+// shards the vector store behind every pipeline splits into (category-hash
 // or IVF routing per -partitioner), and because sharded search is exact and
-// merges under the flat store's ordering, every table and figure reproduces
+// merges under one total retrieval order, every table and figure reproduces
 // bit-identically. -probes opts into probe-limited approximate retrieval
 // (only the nearest IVF partitions are searched), which trades exactness
 // for scan reduction — tables may then deviate from the goldens by design;
@@ -58,7 +58,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus and model seed")
 	teamsN := flag.Int("team-incidents", 20, "incidents per team for table4")
 	workers := flag.Int("workers", 0, "worker-pool size; 0 = one per CPU, 1 = sequential")
-	shards := flag.Int("shards", 0, "vector-index shard count; 0 = one per CPU, 1 = flat exact store")
+	shards := flag.Int("shards", 0, "vector-index shard count; 0 = one per CPU, 1 = a single shard")
 	partitioner := flag.String("partitioner", "", "shard routing: category (default) or ivf")
 	probes := flag.Int("probes", 0, "IVF partitions searched per query (approximate); 0 = exact fan-out")
 	recallTarget := flag.Float64("recall-target", 0, "recall-SLO auto-tuner target in (0,1]; replaces -probes with a controller-owned budget")

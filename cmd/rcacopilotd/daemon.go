@@ -508,7 +508,7 @@ func (d *daemon) retrieve(w http.ResponseWriter, r *http.Request) {
 	diverse := r.URL.Query().Get("diverse") != ""
 	var hits []rcacopilot.Retrieved
 	if r.URL.Query().Has("team") {
-		// Tenant-scoped retrieval: search only the team's namespace view.
+		// Tenant-scoped retrieval: search only the team's namespace.
 		// An unknown team is an empty result set, not an error.
 		hits, err = d.sys.RetrieveTeam(r.URL.Query().Get("team"), q, k, diverse)
 	} else {

@@ -54,7 +54,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	days := flag.Int("days", 365, "simulated corpus span in days")
 	history := flag.Int("history", 300, "historical incidents to ingest at startup")
-	shards := flag.Int("shards", 0, "vector-store shards (0 = one per CPU, 1 = flat exact store)")
+	shards := flag.Int("shards", 0, "vector-store shards (0 = one per CPU, 1 = a single shard)")
 	recall := flag.Float64("recall-target", 0, "adaptive probe serving recall SLO (0 disables; needs -shards > 1)")
 	retrainSkew := flag.Float64("retrain-skew", 0, "auto-retrain the IVF quantizer at this imbalance ratio (0 disables)")
 	quantized := flag.Bool("quantized", false, "two-stage probe scan: int8 candidate collection + exact re-rank (needs -recall-target)")

@@ -137,8 +137,8 @@ type Config struct {
 	Team string
 	// MultiTenant serves each incident's owning team as a tenant over the
 	// shared vector store: learned entries are tagged with the incident's
-	// OwningTeam as their namespace, Predict retrieves through that team's
-	// namespace view (so a team's demonstrations never come from a
+	// OwningTeam as their namespace, Predict's retrieval is scoped to that
+	// team's namespace (so a team's demonstrations never come from a
 	// co-tenant's history), handler matching tries the owning team's
 	// handlers before falling back to Team's, and each collection run's
 	// telemetry cost is attributed per tenant ("team/site" meter keys).
@@ -157,8 +157,8 @@ type Config struct {
 	PromptReserve int
 	// Shards partitions the vector store into this many shards with
 	// parallel query fan-out. 0 (unset) defaults to runtime.NumCPU(), so a
-	// stock deployment scales with the machine; an explicit 1 keeps the
-	// flat exact store. Results are bit-identical either way — sharding
+	// stock deployment scales with the machine; 1 keeps every entry in one
+	// shard. Results are bit-identical for any shard count — sharding
 	// changes scaling, not retrieval semantics.
 	Shards int
 	// Partitioner selects shard routing when Shards > 1:
@@ -171,7 +171,7 @@ type Config struct {
 	// knob would silently never engage) and takes effect once the
 	// quantizer has trained (until then — and whenever probes cover every
 	// populated shard — retrieval stays exact and bit-identical to the
-	// flat store). 0 keeps exact fan-out; negative values are rejected.
+	// unprobed store). 0 keeps exact fan-out; negative values are rejected.
 	// Mutually exclusive with RecallTarget, which makes the budget
 	// controller-owned.
 	Probes int
@@ -210,7 +210,7 @@ type Config struct {
 	Overfetch int
 	// BatchMax enables micro-batched retrieval: concurrent retrieval
 	// queries (Retrieve, Predict's neighbour lookup) coalesce through a
-	// vectordb.Batcher into TopKBatch executions of at most this size,
+	// vectordb.Batcher into batched Search executions of at most this size,
 	// amortizing the shard scan across the batch. 0 or 1 disables
 	// batching; negative values are rejected. Idle traffic keeps the
 	// single-query fast path, so enabling batching does not add latency
@@ -422,7 +422,7 @@ func (c *Copilot) Chat() llm.Client { return c.chat }
 func (c *Copilot) Config() Config { return c.cfg }
 
 // SetEmbedder attaches the retrieval embedder and resets the vector store
-// to its dimensionality (flat or sharded per Config.Shards). Resetting is
+// to its dimensionality (sharded per Config.Shards). Resetting is
 // deliberate: vectors produced by different embedders are not comparable,
 // so every previously learned in-memory entry is DISCARDED and the history
 // must be re-learned against the new embedding space. The number of
@@ -557,7 +557,7 @@ func (c *Copilot) Index() vectordb.Index {
 }
 
 // trainPartitioner retrains an IVF-partitioned sharded index from its
-// stored vectors. It is a no-op for the flat store and category routing;
+// stored vectors. It is a no-op for a single shard and category routing;
 // called after batch ingest so the quantizer reflects the loaded history.
 // The handoff onto the trained quantizer is incremental — ingest and
 // queries keep flowing — and under exact serving (Config.Probes == 0)
@@ -570,7 +570,7 @@ func (c *Copilot) trainPartitioner(db vectordb.Index) error {
 		return nil
 	}
 	s, ok := vectordb.AsSharded(db)
-	if !ok || s.Len() == 0 {
+	if !ok || s.Len() == 0 || s.NumShards() < 2 {
 		return nil
 	}
 	return s.TrainIVF(0)
@@ -759,11 +759,11 @@ func (c *Copilot) Retrieve(text string, at time.Time, k int, diverse bool) ([]ve
 	return c.retrieve(text, at, k, diverse, false, "")
 }
 
-// RetrieveIn is Retrieve through one team's namespace view: only entries
+// RetrieveIn is Retrieve scoped to one team's namespace: only entries
 // learned under that tenant are searched. An unknown team returns zero
-// hits without error (an empty view, not a failure); team = "" addresses
-// the default namespace. It is the read behind the daemon's
-// /api/retrieve?team= parameter.
+// hits without error and without creating any serving state for it;
+// team = "" addresses the default namespace. It is the read behind the
+// daemon's /api/retrieve?team= parameter.
 func (c *Copilot) RetrieveIn(team, text string, at time.Time, k int, diverse bool) ([]vectordb.Scored, error) {
 	return c.retrieve(text, at, k, diverse, true, team)
 }
@@ -796,16 +796,14 @@ func (c *Copilot) retrieve(text string, at time.Time, k int, diverse, scoped boo
 		}
 		c.embedCache.put(text, query, gen)
 	}
-	if scoped {
-		db = db.Namespace(team)
+	res, err := db.Search([]vectordb.Query{{
+		Vector: query, Time: at, K: k, Alpha: c.cfg.Alpha, Diverse: diverse,
+		Namespace: team, Scoped: scoped,
+	}})
+	if err != nil || len(res[0]) == 0 {
+		return nil, err
 	}
-	if db.Len() == 0 {
-		return nil, nil
-	}
-	if diverse {
-		return db.TopKDiverse(query, at, k, c.cfg.Alpha)
-	}
-	return db.TopK(query, at, k, c.cfg.Alpha)
+	return res[0], nil
 }
 
 // Predict runs the prediction stage for a collected incident: embed the
@@ -826,25 +824,24 @@ func (c *Copilot) Predict(inc *incident.Incident) (prompt.Result, error) {
 	if err != nil {
 		return prompt.Result{}, fmt.Errorf("core: embed query %s: %w", inc.ID, err)
 	}
-	if c.cfg.MultiTenant {
-		// Demonstrations come from the owning team's own history: the
-		// namespace view confines the neighbour search (and the Len gate)
-		// to entries the team learned.
-		db = db.Namespace(inc.OwningTeam)
+	// Multi-tenant demonstrations come from the owning team's own history:
+	// the query's scope confines the neighbour search to entries the team
+	// learned.
+	found, err := db.Search([]vectordb.Query{{
+		Vector: query, Time: inc.CreatedAt, K: c.cfg.K, Alpha: c.cfg.Alpha, Diverse: true,
+		Namespace: inc.OwningTeam, Scoped: c.cfg.MultiTenant,
+	}})
+	if err != nil {
+		return prompt.Result{}, err
 	}
+	hits := found[0]
 	var demos []prompt.Demo
-	if db.Len() > 0 {
-		hits, err := db.TopKDiverse(query, inc.CreatedAt, c.cfg.K, c.cfg.Alpha)
-		if err != nil {
-			return prompt.Result{}, err
-		}
-		budget := (c.chat.ContextWindow() - c.cfg.PromptReserve) / max(1, len(hits))
-		for _, h := range hits {
-			demos = append(demos, prompt.Demo{
-				Summary:  prompt.TrimToTokens(h.Entry.Summary, budget, c.chat.CountTokens),
-				Category: h.Entry.Category,
-			})
-		}
+	budget := (c.chat.ContextWindow() - c.cfg.PromptReserve) / max(1, len(hits))
+	for _, h := range hits {
+		demos = append(demos, prompt.Demo{
+			Summary:  prompt.TrimToTokens(h.Entry.Summary, budget, c.chat.CountTokens),
+			Category: h.Entry.Category,
+		})
 	}
 	input := c.ContextText(inc)
 	inputBudget := (c.chat.ContextWindow() - c.cfg.PromptReserve) / 3

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -8,21 +9,21 @@ import (
 	"repro/internal/vectordb"
 )
 
-// TestShardedCopilotMatchesFlat wires a sharded index through the full
-// Learn/Predict path and requires predictions identical to a flat-store
-// copilot over the same history — the core-level slice of the tentpole
-// equivalence contract.
+// TestShardedCopilotMatchesFlat wires multi-shard indexes through the full
+// Learn/Predict path and requires predictions identical to a single-shard
+// (flat) copilot over the same history — the core-level slice of the
+// shard-count equivalence contract.
 func TestShardedCopilotMatchesFlat(t *testing.T) {
 	e := getEnv(t)
 	flat := newCopilot(t, Config{Shards: 1})
 	sharded := newCopilot(t, Config{Shards: 7})
 	ivf := newCopilot(t, Config{Shards: 5, Partitioner: PartitionIVF})
 
-	if _, ok := flat.Index().(*vectordb.DB); !ok {
-		t.Fatalf("Shards=1 index is %T, want flat", flat.Index())
+	if s, ok := flat.Index().(*vectordb.Sharded); !ok || s.NumShards() != 1 {
+		t.Fatalf("Shards=1 index is %T, want one shard", flat.Index())
 	}
-	if _, ok := sharded.Index().(*vectordb.Sharded); !ok {
-		t.Fatalf("Shards=7 index is %T, want sharded", sharded.Index())
+	if s, ok := sharded.Index().(*vectordb.Sharded); !ok || s.NumShards() != 7 {
+		t.Fatalf("Shards=7 index is %T, want seven shards", sharded.Index())
 	}
 
 	const history = 120
@@ -228,8 +229,8 @@ func TestProbeCopilotPredicts(t *testing.T) {
 
 // TestShardsDefaultToNumCPU pins the Shards default: an unset Shards scales
 // the store to the machine (runtime.NumCPU()), while an explicit Shards: 1
-// still selects the flat exact DB — the opt-out is one knob, not a magic
-// zero.
+// builds a single shard serving results identical to the sharded
+// configurations — the opt-out is one knob, not a magic zero.
 func TestShardsDefaultToNumCPU(t *testing.T) {
 	def := newCopilot(t, Config{})
 	if got, want := def.Config().Shards, runtime.NumCPU(); got != want {
@@ -241,8 +242,33 @@ func TestShardsDefaultToNumCPU(t *testing.T) {
 		}
 	}
 	flat := newCopilot(t, Config{Shards: 1})
-	if _, ok := flat.Index().(*vectordb.DB); !ok {
-		t.Fatalf("Shards=1 index is %T, want flat *vectordb.DB", flat.Index())
+	s, ok := flat.Index().(*vectordb.Sharded)
+	if !ok || s.NumShards() != 1 {
+		t.Fatalf("Shards=1 index is %T, want a single shard", flat.Index())
+	}
+	e := getEnv(t)
+	sharded := newCopilot(t, Config{Shards: 4})
+	for _, c := range []*Copilot{flat, sharded} {
+		for _, inc := range e.corpus.Incidents[:60] {
+			if err := c.Learn(inc.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query := e.corpus.Incidents[60].DiagnosticText()
+	at := e.corpus.Incidents[60].CreatedAt
+	for _, diverse := range []bool{false, true} {
+		want, err := sharded.Retrieve(query, at, 5, diverse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := flat.Retrieve(query, at, 5, diverse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("diverse=%v: Shards=1 retrieval %v differs from Shards=4 %v", diverse, got, want)
+		}
 	}
 }
 

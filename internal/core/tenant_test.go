@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/vectordb"
 )
 
 // TestCopilotDBRetired is the compile-guard for the retired DB() alias:
@@ -37,8 +40,16 @@ func TestMultiTenantLearnAndRetrieve(t *testing.T) {
 	if got := c.Index().Len(); got != perTeam*len(teams) {
 		t.Fatalf("root store has %d entries, want %d", got, perTeam*len(teams))
 	}
+	sh, ok := vectordb.AsSharded(c.Index())
+	if !ok {
+		t.Fatalf("index is %T", c.Index())
+	}
+	entries := map[string]int{}
+	for _, st := range sh.NamespaceStats() {
+		entries[st.Namespace] = st.Entries
+	}
 	for _, team := range teams {
-		if got := c.Index().Namespace(team).Len(); got != perTeam {
+		if got := entries[team]; got != perTeam {
 			t.Fatalf("team %s namespace has %d entries, want %d", team, got, perTeam)
 		}
 	}
@@ -65,6 +76,17 @@ func TestMultiTenantLearnAndRetrieve(t *testing.T) {
 	}
 	if len(hits) != 0 {
 		t.Fatalf("unknown team retrieved %d hits, want 0", len(hits))
+	}
+	// Reads never create tenant state: a thousand distinct unknown teams
+	// leave the per-namespace inventory exactly as it was.
+	stats := sh.NamespaceStats()
+	for i := 0; i < 1000; i++ {
+		if _, err := c.RetrieveIn(fmt.Sprintf("Ghost-%04d", i), query, at, 5, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sh.NamespaceStats(); !reflect.DeepEqual(got, stats) {
+		t.Fatalf("unknown-team retrievals changed NamespaceStats:\n got %+v\nwant %+v", got, stats)
 	}
 	// The unscoped read is the operator view: it spans tenants.
 	all, err := c.Retrieve(query, at, 10, false)

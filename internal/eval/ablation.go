@@ -73,7 +73,7 @@ func runWithScale(e *Env, scale float64) (F1Scores, error) {
 }
 
 // runNoDiversity replicates the retrieval without the one-per-category
-// constraint by querying TopK directly and deduplicating nothing: the
+// constraint by searching the store directly without the Diverse flag: the
 // demonstrations can all come from one dominant category, which is what the
 // constraint exists to prevent.
 func runNoDiversity(e *Env) (F1Scores, error) {
@@ -107,11 +107,13 @@ func runNoDiversity(e *Env) (F1Scores, error) {
 		if err != nil {
 			return err
 		}
-		hits, err := cop.Index().TopK(query, probe.CreatedAt, cop.Config().K, cop.Config().Alpha)
+		hits, err := cop.Index().Search([]vectordb.Query{{
+			Vector: query, Time: probe.CreatedAt, K: cop.Config().K, Alpha: cop.Config().Alpha,
+		}})
 		if err != nil {
 			return err
 		}
-		pred, err := predictWithDemos(cop, probe.Summary, hits)
+		pred, err := predictWithDemos(cop, probe.Summary, hits[0])
 		if err != nil {
 			return err
 		}

@@ -28,11 +28,11 @@ type Env struct {
 	// scores and predictions — only wall-clock time changes.
 	Workers int
 
-	// Shards selects the sharded vector index for every pipeline the
-	// harness builds (0 = one shard per CPU, the core default; an explicit
-	// 1 = the flat exact store). Sharded retrieval is bit-identical to
-	// flat, so the Table-2/3/Fig-12 goldens reproduce on either index; only
-	// retrieval scaling changes.
+	// Shards sets the vector-store shard count for every pipeline the
+	// harness builds (0 = one shard per CPU, the core default; 1 = a single
+	// shard). Retrieval is bit-identical for any shard count, so the
+	// Table-2/3/Fig-12 goldens reproduce on every setting; only retrieval
+	// scaling changes.
 	Shards int
 	// Partitioner selects shard routing when Shards > 1 (see
 	// core.PartitionCategory / core.PartitionIVF; empty = category hash).

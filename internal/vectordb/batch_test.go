@@ -21,10 +21,10 @@ func diversify(entries []Entry, numCats int) {
 
 // mixedBatch builds a heterogeneous batch from the fixture queries:
 // varying k, alpha, diversity flag, and anchor time across members.
-func mixedBatch(queries [][]float64, qt time.Time, size int) []BatchQuery {
-	batch := make([]BatchQuery, size)
+func mixedBatch(queries [][]float64, qt time.Time, size int) []Query {
+	batch := make([]Query, size)
 	for i := range batch {
-		batch[i] = BatchQuery{
+		batch[i] = Query{
 			Vector:  queries[i%len(queries)],
 			Time:    qt.AddDate(0, 0, i%3),
 			K:       2 + i%7,
@@ -35,19 +35,14 @@ func mixedBatch(queries [][]float64, qt time.Time, size int) []BatchQuery {
 	return batch
 }
 
-// sequentialBatch serves a batch one query at a time through the
-// sequential entry points — the oracle the bit-identity contract is
-// pinned against.
-func sequentialBatch(t *testing.T, idx Index, batch []BatchQuery) [][]Scored {
+// sequentialBatch serves a batch one query per Search call — the
+// oracle the batch bit-identity contract is pinned against.
+func sequentialBatch(t *testing.T, idx Index, batch []Query) [][]Scored {
 	t.Helper()
 	out := make([][]Scored, len(batch))
 	for i, bq := range batch {
 		var err error
-		if bq.Diverse {
-			out[i], err = idx.TopKDiverse(bq.Vector, bq.Time, bq.K, bq.Alpha)
-		} else {
-			out[i], err = idx.TopK(bq.Vector, bq.Time, bq.K, bq.Alpha)
-		}
+		out[i], err = search1(idx, bq)
 		if err != nil {
 			t.Fatalf("sequential query %d: %v", i, err)
 		}
@@ -56,9 +51,10 @@ func sequentialBatch(t *testing.T, idx Index, batch []BatchQuery) [][]Scored {
 }
 
 // TestTopKBatchMatchesSequential is the batch bit-identity golden: for
-// every shard count and serving mode, TopKBatch over a heterogeneous
-// batch must return, per query, exactly what the sequential call returns
-// — same entries, same bitwise (distance, similarity) scores, same order.
+// every shard count and serving mode, Search over a heterogeneous batch
+// must return, per query, exactly what a one-query Search returns — same
+// entries, same bitwise (distance, similarity) scores, same order — and in
+// exact mode exactly what the reference store returns.
 func TestTopKBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 2, 7, 16} {
 		for _, mode := range []string{"exact", "probe", "quantized"} {
@@ -86,7 +82,7 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 					}
 				}
 				batch := mixedBatch(queries, entries[0].Time, 23)
-				got, err := sh.TopKBatch(batch)
+				got, err := sh.Search(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,46 +90,61 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 				for i := range batch {
 					sameScored(t, fmt.Sprintf("query %d", i), got[i], want[i])
 				}
+				if mode == "exact" {
+					ref := newRef(8)
+					for _, e := range entries {
+						must(t, ref.Add(e))
+					}
+					for i, w := range sequentialBatch(t, ref, batch) {
+						sameScored(t, fmt.Sprintf("query %d vs reference", i), got[i], w)
+					}
+				}
 			})
 		}
 	}
 }
 
-// TestTopKBatchFlatMatchesSequential pins the flat store's batched pass
-// to its sequential scans (and, transitively, to the sharded store via
-// the existing flat-vs-sharded equivalence suite).
+// TestTopKBatchFlatMatchesSequential pins the single-shard (flat) store's
+// batched pass to its one-query searches and to the reference store.
 func TestTopKBatchFlatMatchesSequential(t *testing.T) {
 	entries, queries := clusteredCorpus(31, 300, 6, 4)
 	diversify(entries, 5)
-	db := New(6)
+	db := NewIndex(6, Options{Shards: 1})
+	ref := newRef(6)
 	for _, e := range entries {
 		must(t, db.Add(e))
+		must(t, ref.Add(e))
 	}
 	batch := mixedBatch(queries, entries[0].Time, 17)
-	got, err := db.TopKBatch(batch)
+	got, err := db.Search(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := sequentialBatch(t, db, batch)
+	oracle := sequentialBatch(t, ref, batch)
 	for i := range batch {
 		sameScored(t, fmt.Sprintf("query %d", i), got[i], want[i])
+		sameScored(t, fmt.Sprintf("query %d vs reference", i), got[i], oracle[i])
 	}
 }
 
 // TestTopKBatchMidRebalance wedges a rebalance mid-drain (partitioner
 // blocked on a gate) and holds the batched path to the sequential one
 // while both generations are live — the draining-first, dedup-by-ID merge
-// must survive loop inversion.
+// must survive loop inversion — and to the reference store.
 func TestTopKBatchMidRebalance(t *testing.T) {
 	const dim = 2
 	for _, shards := range []int{1, 2, 7, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sh := NewSharded(dim, shards, nil)
+			ref := newRef(dim)
 			rng := rand.New(rand.NewSource(int64(shards)))
 			for i := 0; i < 40; i++ {
-				must(t, sh.Add(entry(fmt.Sprintf("SEED-%02d", i),
+				e := entry(fmt.Sprintf("SEED-%02d", i),
 					incident.Category(fmt.Sprintf("c%d", i%5)),
-					[]float64{rng.Float64() * 10, rng.Float64() * 10}, i%9)))
+					[]float64{rng.Float64() * 10, rng.Float64() * 10}, i%9)
+				must(t, sh.Add(e))
+				must(t, ref.Add(e))
 			}
 			gp := &gatedPartitioner{n: 3, sentinel: "SEED-00", gate: make(chan struct{}), entered: make(chan struct{})}
 			rebDone := make(chan error, 1)
@@ -149,13 +160,16 @@ func TestTopKBatchMidRebalance(t *testing.T) {
 				queries[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
 			}
 			batch := mixedBatch(queries, t0, 11)
-			got, err := sh.TopKBatch(batch)
+			got, err := sh.Search(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := sequentialBatch(t, sh, batch)
 			for i := range batch {
 				sameScored(t, fmt.Sprintf("query %d", i), got[i], want[i])
+			}
+			for i, w := range sequentialBatch(t, ref, batch) {
+				sameScored(t, fmt.Sprintf("query %d vs reference", i), got[i], w)
 			}
 
 			close(gp.gate)
@@ -170,126 +184,25 @@ func TestTopKBatchMidRebalance(t *testing.T) {
 // an error naming the offending index, and an empty batch is a cheap
 // no-op.
 func TestTopKBatchValidates(t *testing.T) {
-	for name, idx := range map[string]Index{"flat": New(3), "sharded": NewSharded(3, 4, nil)} {
+	for name, idx := range map[string]Index{"flat": newRef(3), "sharded": NewSharded(3, 4, nil)} {
 		must(t, idx.Add(entry("a", "X", []float64{1, 2, 3}, 0)))
-		out, err := idx.TopKBatch(nil)
+		out, err := idx.Search(nil)
 		if err != nil || len(out) != 0 {
 			t.Fatalf("%s: empty batch: out=%v err=%v", name, out, err)
 		}
-		good := BatchQuery{Vector: []float64{1, 2, 3}, Time: t0, K: 2}
-		_, err = idx.TopKBatch([]BatchQuery{good, {Vector: []float64{1}, Time: t0, K: 2}})
+		good := Query{Vector: []float64{1, 2, 3}, Time: t0, K: 2}
+		_, err = idx.Search([]Query{good, {Vector: []float64{1}, Time: t0, K: 2}})
 		if err == nil || !strings.Contains(err.Error(), "batch query 1") {
 			t.Fatalf("%s: dim mismatch error %v does not name the query index", name, err)
 		}
-		_, err = idx.TopKBatch([]BatchQuery{good, {Vector: []float64{1, 2, 3}, Time: t0, K: 0}})
+		_, err = idx.Search([]Query{good, {Vector: []float64{1, 2, 3}, Time: t0, K: 0}})
 		if err == nil || !strings.Contains(err.Error(), "batch query 1") {
 			t.Fatalf("%s: bad-k error %v does not name the query index", name, err)
 		}
 	}
 }
 
-// TestPerQueryProbesEscalation exercises the opt-in per-query budget
-// growth: with a prohibitive margin no query escalates and results equal
-// the fixed-budget batch; with margin 0 a query whose seeded selection
-// misses good partitions escalates (the counter moves) and every query's
-// per-rank similarity dominates its fixed-budget result — scanning a
-// superset of partitions can only improve the top k.
-func TestPerQueryProbesEscalation(t *testing.T) {
-	entries, queries := clusteredCorpus(13, 600, 8, 6)
-	sh := NewSharded(8, 6, nil)
-	for _, e := range entries {
-		must(t, sh.Add(e))
-	}
-	if err := sh.TrainIVF(0); err != nil {
-		t.Fatal(err)
-	}
-	must(t, sh.SetProbes(1))
-	qt := entries[0].Time
-	batch := make([]BatchQuery, 12)
-	for i := range batch {
-		batch[i] = BatchQuery{Vector: queries[i], Time: qt, K: 5, Alpha: 0.3}
-	}
-	fixed, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := sh.EnablePerQueryProbes(2); err != nil { // est ∈ (0,1]: margin 2 is unreachable
-		t.Fatal(err)
-	}
-	if !sh.PerQueryProbes() {
-		t.Fatal("PerQueryProbes not reported enabled")
-	}
-	unescalated, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.BatchEscalations(); got != 0 {
-		t.Fatalf("BatchEscalations = %d with an unreachable margin, want 0", got)
-	}
-	for i := range batch {
-		sameScored(t, fmt.Sprintf("unescalated query %d", i), unescalated[i], fixed[i])
-	}
-
-	if err := sh.EnablePerQueryProbes(0); err != nil {
-		t.Fatal(err)
-	}
-	// Hard queries: k far beyond any single partition's population, so the
-	// seeded budget cannot fill the heap and growth must engage; the easy
-	// k=5 queries ride in the same batch and stay at their seed.
-	hard := append(append([]BatchQuery(nil), batch...), BatchQuery{
-		Vector: queries[0], Time: qt, K: 150, Alpha: 0.3,
-	}, BatchQuery{
-		Vector: queries[1], Time: qt, K: 150, Alpha: 0.3, Diverse: true,
-	})
-	grown, err := sh.TopKBatch(hard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.BatchEscalations(); got == 0 {
-		t.Fatal("BatchEscalations = 0 at margin 0 with underfilled k=150 queries; expected growth")
-	}
-	wantHard, err := sh.exactTopK(queries[0], qt, 150, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The underfilled query grows until every ranked partition is consumed,
-	// i.e. full fan-out: its result must match the exact oracle.
-	sameScored(t, "underfilled k=150", grown[len(batch)], wantHard)
-	for i := range batch {
-		if len(grown[i]) < len(fixed[i]) {
-			t.Fatalf("query %d: escalated result has %d entries, fixed has %d", i, len(grown[i]), len(fixed[i]))
-		}
-		for r := range fixed[i] {
-			if grown[i][r].Similarity < fixed[i][r].Similarity {
-				t.Fatalf("query %d rank %d: escalated similarity %v below fixed %v",
-					i, r, grown[i][r].Similarity, fixed[i][r].Similarity)
-			}
-		}
-	}
-
-	sh.DisablePerQueryProbes()
-	if sh.PerQueryProbes() {
-		t.Fatal("PerQueryProbes still reported enabled after disable")
-	}
-	again, err := sh.TopKBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		sameScored(t, fmt.Sprintf("re-fixed query %d", i), again[i], fixed[i])
-	}
-
-	for _, bad := range []float64{-0.1, nan()} {
-		if err := sh.EnablePerQueryProbes(bad); err == nil {
-			t.Fatalf("EnablePerQueryProbes(%v) accepted", bad)
-		}
-	}
-}
-
-func nan() float64 { var z float64; return z / z }
-
-// TestTopKBatchConcurrentHammer races TopKBatch against concurrent
+// TestTopKBatchConcurrentHammer races batched Search against concurrent
 // ingest and an IVF retrain (which drives a full generation swap under
 // the batch's feet). Run under -race in CI; correctness here is "no
 // panic, valid shape, retrieval order" — bit-identity under a quiescent
@@ -306,9 +219,6 @@ func TestTopKBatchConcurrentHammer(t *testing.T) {
 	}
 	must(t, sh.SetProbes(1))
 	if err := sh.EnableQuantized(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.EnablePerQueryProbes(0.01); err != nil {
 		t.Fatal(err)
 	}
 	qt := entries[0].Time
@@ -344,7 +254,7 @@ func TestTopKBatchConcurrentHammer(t *testing.T) {
 			default:
 			}
 			batch := mixedBatch(queries[(i*3)%50:], qt, 9)
-			out, err := sh.TopKBatch(batch)
+			out, err := sh.Search(batch)
 			if err != nil {
 				errc <- err
 				return

@@ -10,15 +10,16 @@ import (
 )
 
 // Batcher is the serving-side micro-batcher: an Index decorator that
-// coalesces concurrent TopK/TopKDiverse calls into TopKBatch executions.
-// A dispatcher goroutine collects queries into a time/size-bounded window
-// — flushing when maxBatch queries have accumulated or the oldest has
-// waited maxWait, whichever comes first — and a query that finds the
-// collector empty with no follower queued is served on the single-query
-// fast path (straight through the underlying TopK/TopKDiverse, no timer
-// wait), so idle-traffic p50 latency is unchanged and batching engages
-// exactly when concurrency makes it profitable. All other Index methods
-// delegate to the wrapped store.
+// coalesces concurrent one-query Search calls into batched Search
+// executions on the wrapped store. A dispatcher goroutine collects queries
+// into a time/size-bounded window — flushing when maxBatch queries have
+// accumulated or the oldest has waited maxWait, whichever comes first —
+// and a query that finds the collector empty with no follower queued is
+// flushed alone at once (no timer wait), so idle-traffic p50 latency is
+// unchanged and batching engages exactly when concurrency makes it
+// profitable. A Search of several queries is already a batch and passes
+// straight through; all other Index methods delegate to the wrapped
+// store.
 //
 // The request channel is unbuffered on purpose: a send succeeds only when
 // the dispatcher is receiving, so callers that arrive while a batch
@@ -44,7 +45,7 @@ type Batcher struct {
 var _ Index = (*Batcher)(nil)
 
 type batchReq struct {
-	q   BatchQuery
+	q   Query
 	out chan batchResp
 }
 
@@ -56,12 +57,12 @@ type batchResp struct {
 // BatcherStats is a point-in-time snapshot of batch formation, exported
 // on the daemon's /metrics surface.
 type BatcherStats struct {
-	// Batches is the number of flushes executed (including single-query
-	// fast-path serves, which are batches of occupancy 1).
+	// Batches is the number of flushes executed (including idle
+	// single-query flushes, which are batches of occupancy 1).
 	Batches int64
 	// Queries is the number of queries served through the collector.
 	Queries int64
-	// FlushIdle counts single-query fast-path flushes (collector empty, no
+	// FlushIdle counts idle single-query flushes (collector empty, no
 	// follower queued).
 	FlushIdle int64
 	// FlushSize counts flushes triggered by reaching maxBatch.
@@ -97,8 +98,7 @@ func NewBatcher(idx Index, maxBatch int, maxWait time.Duration) (*Batcher, error
 }
 
 // Close stops the dispatcher. Queries in flight complete; later
-// TopK/TopKDiverse calls serve directly through the wrapped store.
-// Idempotent.
+// searches go directly to the wrapped store. Idempotent.
 func (b *Batcher) Close() {
 	select {
 	case <-b.stop:
@@ -208,20 +208,14 @@ drain:
 	return batch
 }
 
-// execute serves one flush: a single query goes straight through the
-// wrapped TopK/TopKDiverse (identical code path to unbatched serving), a
-// real batch through TopKBatch with per-query results fanned back out.
+// execute serves one flush as one Search on the wrapped store, fanning
+// per-query results back out.
 func (b *Batcher) execute(batch []*batchReq) {
-	if len(batch) == 1 {
-		r := batch[0]
-		r.out <- b.serveDirect(r.q)
-		return
-	}
-	queries := make([]BatchQuery, len(batch))
+	queries := make([]Query, len(batch))
 	for i, r := range batch {
 		queries[i] = r.q
 	}
-	out, err := b.idx.TopKBatch(queries)
+	out, err := b.idx.Search(queries)
 	for i, r := range batch {
 		if err != nil {
 			r.out <- batchResp{err: err}
@@ -231,53 +225,29 @@ func (b *Batcher) execute(batch []*batchReq) {
 	}
 }
 
-func (b *Batcher) serveDirect(q BatchQuery) batchResp {
-	idx := b.idx
-	if q.Scoped {
-		idx = idx.Namespace(q.Namespace)
+// Search routes a one-query call through the micro-batching collector
+// (directly to the wrapped store once the batcher is closed) and passes
+// larger batches straight through. Results are bit-identical either way
+// (see the Search batching contract).
+func (b *Batcher) Search(queries []Query) ([][]Scored, error) {
+	if len(queries) != 1 {
+		return b.idx.Search(queries)
 	}
-	var (
-		scs []Scored
-		err error
-	)
-	if q.Diverse {
-		scs, err = idx.TopKDiverse(q.Vector, q.Time, q.K, q.Alpha)
-	} else {
-		scs, err = idx.TopK(q.Vector, q.Time, q.K, q.Alpha)
+	// A malformed query would fail every query it is batched with.
+	if err := checkQuery(b.idx.Dim(), &queries[0]); err != nil {
+		return nil, fmt.Errorf("vectordb: batch query 0: %w", err)
 	}
-	return batchResp{scs: scs, err: err}
-}
-
-// submit routes one query through the collector, falling back to direct
-// serving once the batcher is closed.
-func (b *Batcher) submit(q BatchQuery) ([]Scored, error) {
-	r := &batchReq{q: q, out: make(chan batchResp, 1)}
+	r := &batchReq{q: queries[0], out: make(chan batchResp, 1)}
 	select {
 	case b.reqs <- r:
 		resp := <-r.out
-		return resp.scs, resp.err
+		if resp.err != nil {
+			return nil, resp.err
+		}
+		return [][]Scored{resp.scs}, nil
 	case <-b.done:
-		resp := b.serveDirect(q)
-		return resp.scs, resp.err
+		return b.idx.Search(queries)
 	}
-}
-
-// TopK serves through the micro-batching collector; results are
-// bit-identical to the wrapped store's TopK (see the TopKBatch contract).
-func (b *Batcher) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha})
-}
-
-// TopKDiverse serves through the micro-batching collector; results are
-// bit-identical to the wrapped store's TopKDiverse.
-func (b *Batcher) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true})
-}
-
-// TopKBatch passes an already-formed batch straight through to the
-// wrapped store — callers that batch at the source skip the collector.
-func (b *Batcher) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return b.idx.TopKBatch(queries)
 }
 
 // Dim returns the wrapped store's vector dimensionality.
@@ -303,45 +273,3 @@ func (b *Batcher) Save(w io.Writer) error { return b.idx.Save(w) }
 
 // Load replaces the wrapped store's contents.
 func (b *Batcher) Load(r io.Reader) error { return b.idx.Load(r) }
-
-// Namespace returns a view of the batched store scoped to ns: TopK and
-// TopKDiverse still coalesce through the shared collector (the scope
-// rides on each BatchQuery), so co-tenant queries amortize the same row
-// streams; everything else delegates to the wrapped store's view.
-func (b *Batcher) Namespace(ns string) Index { return batcherView{b: b, ns: ns} }
-
-// batcherView is the Batcher's namespace view; see Batcher.Namespace.
-type batcherView struct {
-	b  *Batcher
-	ns string
-}
-
-var _ Index = batcherView{}
-
-func (v batcherView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Namespace: v.ns, Scoped: true})
-}
-
-func (v batcherView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.b.submit(BatchQuery{Vector: query, Time: qt, K: k, Alpha: alpha, Diverse: true, Namespace: v.ns, Scoped: true})
-}
-
-func (v batcherView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.b.idx.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-func (v batcherView) Dim() int                                 { return v.b.idx.Dim() }
-func (v batcherView) Len() int                                 { return v.b.idx.Namespace(v.ns).Len() }
-func (v batcherView) Add(e Entry) error                        { return v.b.idx.Namespace(v.ns).Add(e) }
-func (v batcherView) Get(id string) (Entry, bool)              { return v.b.idx.Namespace(v.ns).Get(id) }
-func (v batcherView) Categories() []incident.Category          { return v.b.idx.Namespace(v.ns).Categories() }
-func (v batcherView) CountByCategory() map[incident.Category]int {
-	return v.b.idx.Namespace(v.ns).CountByCategory()
-}
-
-// Save writes the WHOLE wrapped store (a view is a lens, not a
-// partition); Load likewise replaces it.
-func (v batcherView) Save(w io.Writer) error { return v.b.idx.Save(w) }
-func (v batcherView) Load(r io.Reader) error { return v.b.idx.Load(r) }
-
-func (v batcherView) Namespace(ns string) Index { return v.b.Namespace(ns) }

@@ -14,26 +14,16 @@ type slowIndex struct {
 	delay time.Duration
 }
 
-func (s *slowIndex) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
+func (s *slowIndex) Search(queries []Query) ([][]Scored, error) {
 	time.Sleep(s.delay)
-	return s.Index.TopK(query, qt, k, alpha)
+	return s.Index.Search(queries)
 }
 
-func (s *slowIndex) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	time.Sleep(s.delay)
-	return s.Index.TopKDiverse(query, qt, k, alpha)
-}
-
-func (s *slowIndex) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	time.Sleep(s.delay)
-	return s.Index.TopKBatch(queries)
-}
-
-func buildBatcherFixture(t *testing.T) (*DB, [][]float64, time.Time) {
+func buildBatcherFixture(t *testing.T) (Index, [][]float64, time.Time) {
 	t.Helper()
 	entries, queries := clusteredCorpus(42, 200, 6, 4)
 	diversify(entries, 5)
-	db := New(6)
+	db := NewIndex(6, Options{Shards: 2})
 	for _, e := range entries {
 		must(t, db.Add(e))
 	}
@@ -51,24 +41,24 @@ func TestBatcherIdleFastPath(t *testing.T) {
 	}
 	defer b.Close()
 	start := time.Now()
-	got, err := b.TopK(queries[0], qt, 5, 0.3)
+	got, err := topK(b, queries[0], qt, 5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("idle single query took %v — fast path is waiting on the window timer", elapsed)
 	}
-	want, err := db.TopK(queries[0], qt, 5, 0.3)
+	want, err := topK(db, queries[0], qt, 5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameScored(t, "idle TopK", got, want)
 
-	gotD, err := b.TopKDiverse(queries[1], qt, 5, 0.3)
+	gotD, err := topKDiverse(b, queries[1], qt, 5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, err := db.TopKDiverse(queries[1], qt, 5, 0.3)
+	wantD, err := topKDiverse(db, queries[1], qt, 5, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +99,11 @@ func TestBatcherCoalesces(t *testing.T) {
 			var got, want []Scored
 			var gerr, werr error
 			if i%3 == 0 {
-				got, gerr = b.TopKDiverse(q, qt, k, alpha)
-				want, werr = db.TopKDiverse(q, qt, k, alpha)
+				got, gerr = topKDiverse(b, q, qt, k, alpha)
+				want, werr = topKDiverse(db, q, qt, k, alpha)
 			} else {
-				got, gerr = b.TopK(q, qt, k, alpha)
-				want, werr = db.TopK(q, qt, k, alpha)
+				got, gerr = topK(b, q, qt, k, alpha)
+				want, werr = topK(db, q, qt, k, alpha)
 			}
 			if gerr != nil || werr != nil {
 				errs <- fmt.Errorf("query %d: got err %v, want err %v", i, gerr, werr)
@@ -164,17 +154,17 @@ func TestBatcherClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.TopK(queries[0], qt, 3, 0.3); err != nil {
+	if _, err := topK(b, queries[0], qt, 3, 0.3); err != nil {
 		t.Fatal(err)
 	}
 	before := b.Stats()
 	b.Close()
 	b.Close() // idempotent
-	got, err := b.TopK(queries[2], qt, 3, 0.3)
+	got, err := topK(b, queries[2], qt, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.TopK(queries[2], qt, 3, 0.3)
+	want, err := topK(db, queries[2], qt, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +176,7 @@ func TestBatcherClose(t *testing.T) {
 
 // TestNewBatcherValidates rejects degenerate windows.
 func TestNewBatcherValidates(t *testing.T) {
-	db := New(2)
+	db := newRef(2)
 	for _, maxBatch := range []int{-1, 0, 1} {
 		if _, err := NewBatcher(db, maxBatch, time.Millisecond); err == nil {
 			t.Fatalf("NewBatcher accepted maxBatch %d", maxBatch)
@@ -211,8 +201,8 @@ func TestAsSharded(t *testing.T) {
 	if got, ok := AsSharded(b); !ok || got != sh {
 		t.Fatal("AsSharded failed through a Batcher layer")
 	}
-	if _, ok := AsSharded(New(2)); ok {
-		t.Fatal("AsSharded claimed a flat DB is sharded")
+	if _, ok := AsSharded(newRef(2)); ok {
+		t.Fatal("AsSharded claimed the reference store is sharded")
 	}
 	if _, ok := AsSharded(nil); ok {
 		t.Fatal("AsSharded claimed nil is sharded")

@@ -10,11 +10,11 @@ import (
 	"repro/internal/incident"
 )
 
-// Retrieval benchmarks: flat vs sharded TopK/TopKDiverse across store
-// sizes — the perf trajectory for the sharded retrieval layer, recorded in
-// BENCH_retrieval.json. On a single-CPU runner the fan-out degrades to a
-// sequential per-shard scan and the two implementations land within noise
-// of each other; the speedup target (≥1.5× at 100k entries) applies to
+// Retrieval benchmarks: one-query Search on a 1-shard vs an 8-shard store
+// across store sizes — the perf trajectory of the retrieval layer,
+// recorded in BENCH_retrieval.json. On a single-CPU runner the fan-out
+// degrades to a sequential per-shard scan and the two land within noise of
+// each other; the speedup target (≥1.5× at 100k entries) applies to
 // multi-core hardware where the per-shard scans actually run concurrently.
 
 const benchDim = 32
@@ -24,21 +24,17 @@ var (
 	benchStores   = map[string]Index{}
 )
 
-// benchIndex builds (and caches across benchmarks) an index of n entries.
-func benchIndex(b *testing.B, kind string, n, shards int) Index {
+// benchIndex builds (and caches across benchmarks) a store of n entries
+// over the given shard count.
+func benchIndex(b *testing.B, n, shards int) Index {
 	b.Helper()
-	key := fmt.Sprintf("%s/%d/%d", kind, n, shards)
+	key := fmt.Sprintf("%d/%d", n, shards)
 	benchStoresMu.Lock()
 	defer benchStoresMu.Unlock()
 	if idx, ok := benchStores[key]; ok {
 		return idx
 	}
-	var idx Index
-	if kind == "flat" {
-		idx = New(benchDim)
-	} else {
-		idx = NewSharded(benchDim, shards, nil)
-	}
+	idx := NewSharded(benchDim, shards, nil)
 	rng := rand.New(rand.NewSource(42))
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
@@ -67,24 +63,18 @@ func benchQuery() ([]float64, time.Time) {
 	return q, time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 }
 
-// BenchmarkTopK is the flat-vs-sharded headline comparison at 1k/10k/100k
-// entries (8 shards, the k and alpha of the shipped configuration).
+// BenchmarkTopK is the 1-shard vs 8-shard headline comparison of a
+// one-query plain Search at 1k/10k/100k entries (the k and alpha of the
+// shipped configuration).
 func BenchmarkTopK(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
-		for _, impl := range []struct {
-			name   string
-			shards int
-		}{{"flat", 0}, {"sharded8", 8}} {
-			b.Run(fmt.Sprintf("%s/n=%d", impl.name, n), func(b *testing.B) {
-				kind := "flat"
-				if impl.shards > 0 {
-					kind = "sharded"
-				}
-				idx := benchIndex(b, kind, n, impl.shards)
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("shards%d/n=%d", shards, n), func(b *testing.B) {
+				idx := benchIndex(b, n, shards)
 				q, qt := benchQuery()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := idx.TopK(q, qt, 5, 0.3); err != nil {
+					if _, err := topK(idx, q, qt, 5, 0.3); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -97,20 +87,13 @@ func BenchmarkTopK(b *testing.B) {
 // retrieval the shipped pipeline uses.
 func BenchmarkTopKDiverse(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
-		for _, impl := range []struct {
-			name   string
-			shards int
-		}{{"flat", 0}, {"sharded8", 8}} {
-			b.Run(fmt.Sprintf("%s/n=%d", impl.name, n), func(b *testing.B) {
-				kind := "flat"
-				if impl.shards > 0 {
-					kind = "sharded"
-				}
-				idx := benchIndex(b, kind, n, impl.shards)
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("shards%d/n=%d", shards, n), func(b *testing.B) {
+				idx := benchIndex(b, n, shards)
 				q, qt := benchQuery()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := idx.TopKDiverse(q, qt, 5, 0.3); err != nil {
+					if _, err := topKDiverse(idx, q, qt, 5, 0.3); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -120,7 +103,7 @@ func BenchmarkTopKDiverse(b *testing.B) {
 }
 
 // probe benchmark fixtures: an 8-shard IVF-trained store over the seeded
-// clustered corpus, its flat exact twin, and the query set — cached
+// clustered corpus, its reference-store twin, and the query set — cached
 // across sub-benchmarks, keyed by corpus size.
 var (
 	probeBenchMu sync.Mutex
@@ -128,7 +111,7 @@ var (
 )
 
 type probeFixture struct {
-	flat    *DB
+	flat    *refStore
 	sharded *Sharded
 	queries [][]float64
 	qt      time.Time
@@ -142,7 +125,7 @@ func probeFixtureFor(b *testing.B, n int) *probeFixture {
 		return f
 	}
 	entries, queries := clusteredCorpus(99, n, benchDim, 12)
-	f := &probeFixture{flat: New(benchDim), sharded: NewSharded(benchDim, 8, nil), queries: queries, qt: entries[0].Time}
+	f := &probeFixture{flat: newRef(benchDim), sharded: NewSharded(benchDim, 8, nil), queries: queries, qt: entries[0].Time}
 	for _, e := range entries {
 		if err := f.flat.Add(e); err != nil {
 			b.Fatal(err)
@@ -160,7 +143,7 @@ func probeFixtureFor(b *testing.B, n int) *probeFixture {
 
 // BenchmarkTopKProbes is the recall-vs-speedup benchmark for probe-limited
 // serving: 1k/10k/100k-entry IVF stores at probes 1, 2, 4 and all (exact
-// fan-out), measured against the flat oracle. Each run reports recall@5
+// fan-out), measured against the reference store. Each run reports recall@5
 // as a benchmark metric and — so the CI bench smoke doubles as the
 // recall gate — FAILS if probes=2 on the seeded 10k corpus ever drops
 // below the pinned 0.9 floor from the acceptance criteria. Results are
@@ -188,7 +171,7 @@ func BenchmarkTopKProbes(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.sharded.TopK(q, f.qt, 5, 0.3); err != nil {
+					if _, err := topK(f.sharded, q, f.qt, 5, 0.3); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -201,18 +184,18 @@ func BenchmarkTopKProbes(b *testing.B) {
 
 // exactOracle serves exact fan-out off a Sharded store regardless of its
 // probe configuration, so recall can be measured against the very store
-// being benchmarked when keeping a flat twin would double the fixture
-// (the 1M-entry corpus).
+// being benchmarked when keeping a reference twin would double the
+// fixture (the 1M-entry corpus).
 type exactOracle struct{ *Sharded }
 
-func (o exactOracle) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return o.exactTopK(query, qt, k, alpha)
+func (o exactOracle) Search(queries []Query) ([][]Scored, error) {
+	return o.search(queries, true)
 }
 
-// millionFixture builds the 1M-entry quantization fixture without a flat
-// twin: the IVF quantizer trains on a 50k sample first, and the remaining
-// entries stream through the pre-trained partitioner — no full-corpus
-// k-means, no rebalance drain.
+// millionFixture builds the 1M-entry quantization fixture without a
+// reference twin: the IVF quantizer trains on a 50k sample first, and the
+// remaining entries stream through the pre-trained partitioner — no
+// full-corpus k-means, no rebalance drain.
 var (
 	millionMu  sync.Mutex
 	millionFix *probeFixture
@@ -246,8 +229,8 @@ func millionFixture(b *testing.B) *probeFixture {
 }
 
 // quantFixtureFor returns the store under test plus the exact oracle recall
-// is measured against: the shared flat twin up to 100k entries, the store's
-// own exact fan-out at 1M.
+// is measured against: the shared reference twin up to 100k entries, the
+// store's own exact fan-out at 1M.
 func quantFixtureFor(b *testing.B, n int) (*probeFixture, Index) {
 	if n <= 100_000 {
 		f := probeFixtureFor(b, n)
@@ -267,8 +250,8 @@ func quantFixtureFor(b *testing.B, n int) (*probeFixture, Index) {
 // gate — the run FAILS if the quantized scan at default overfetch ever
 // drops below the pinned 0.9 floor on the seeded 10k corpus. The 1M cell
 // streams its corpus through a sample-trained quantizer and measures
-// recall against the store's own exact fan-out (a flat twin would double
-// the fixture). Results are recorded in BENCH_retrieval.json.
+// recall against the store's own exact fan-out (a reference twin would
+// double the fixture). Results are recorded in BENCH_retrieval.json.
 func BenchmarkTopKQuantized(b *testing.B) {
 	const k, alpha, probes = 5, 0.3, 2
 	const floorN, recallFloor = 10_000, 0.9
@@ -295,7 +278,7 @@ func BenchmarkTopKQuantized(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.sharded.TopK(q, f.qt, k, alpha); err != nil {
+					if _, err := topK(f.sharded, q, f.qt, k, alpha); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -307,7 +290,7 @@ func BenchmarkTopKQuantized(b *testing.B) {
 
 // time-spread benchmark fixture: a 10-shard IVF store over the seeded
 // time-spread corpus (timestamps spanning the decay horizon, recency
-// anti-correlated with proximity) and its flat exact twin.
+// anti-correlated with proximity) and its reference-store twin.
 var (
 	tsBenchMu sync.Mutex
 	tsBench   *probeFixture
@@ -322,7 +305,7 @@ func timeSpreadFixture(b *testing.B) *probeFixture {
 	}
 	const n, dim, pairs, shards = 10_000, 16, 3, 10
 	entries, queries, qt := timeSpreadCorpus(8, n, dim, pairs)
-	f := &probeFixture{flat: New(dim), sharded: NewSharded(dim, shards, nil), queries: queries, qt: qt}
+	f := &probeFixture{flat: newRef(dim), sharded: NewSharded(dim, shards, nil), queries: queries, qt: qt}
 	for _, e := range entries {
 		if err := f.flat.Add(e); err != nil {
 			b.Fatal(err)
@@ -342,7 +325,7 @@ func timeSpreadFixture(b *testing.B) *probeFixture {
 // time-spread corpus, where distance-only probe ranking probes
 // stale-but-near partitions and the true temporal-decay neighbours live
 // in recent-but-farther ones. Each ranking × probe-budget cell reports
-// recall@5 against the flat oracle; the time-aware cells FAIL the run if
+// recall@5 against the reference store; the time-aware cells FAIL the run if
 // (a) time-aware recall ever drops below the pinned 0.9 floor at
 // probes=2, or (b) time-aware ranking stops beating distance-only at the
 // same budget — the CI bench job runs this alongside the original
@@ -387,7 +370,7 @@ func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := f.sharded.TopK(q, f.qt, k, alpha); err != nil {
+					if _, err := topK(f.sharded, q, f.qt, k, alpha); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -453,7 +436,7 @@ func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.sharded.TopK(q, f.qt, k, alpha); err != nil {
+				if _, err := topK(f.sharded, q, f.qt, k, alpha); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -469,7 +452,7 @@ func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := f.sharded.TopK(q, f.qt, k, alpha); err != nil {
+			if _, err := topK(f.sharded, q, f.qt, k, alpha); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -480,17 +463,9 @@ func BenchmarkTopKProbesTimeSpread(b *testing.B) {
 // BenchmarkShardedAdd measures insert throughput with per-shard locking
 // (the path Learn takes under concurrent ingest).
 func BenchmarkShardedAdd(b *testing.B) {
-	for _, impl := range []struct {
-		name   string
-		shards int
-	}{{"flat", 0}, {"sharded8", 8}} {
-		b.Run(impl.name, func(b *testing.B) {
-			var idx Index
-			if impl.shards > 0 {
-				idx = NewSharded(benchDim, impl.shards, nil)
-			} else {
-				idx = New(benchDim)
-			}
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			idx := NewSharded(benchDim, shards, nil)
 			v := make([]float64, benchDim)
 			at := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 			b.ResetTimer()
@@ -509,7 +484,7 @@ func BenchmarkShardedAdd(b *testing.B) {
 }
 
 // batchRecallAtK measures recall@k of batched serving end to end: queries
-// are driven through TopKBatch in batch-sized groups and compared against
+// are driven through Search in batch-sized groups and compared against
 // the exact oracle, so the number gauges the whole batched executor, not
 // the sequential path it is provably identical to.
 func batchRecallAtK(b *testing.B, exact Index, approx Index, queries [][]float64, qt time.Time, batch, k int, alpha float64) float64 {
@@ -520,16 +495,16 @@ func batchRecallAtK(b *testing.B, exact Index, approx Index, queries [][]float64
 		if end > len(queries) {
 			end = len(queries)
 		}
-		bq := make([]BatchQuery, end-start)
+		bq := make([]Query, end-start)
 		for i := range bq {
-			bq[i] = BatchQuery{Vector: queries[start+i], Time: qt, K: k, Alpha: alpha}
+			bq[i] = Query{Vector: queries[start+i], Time: qt, K: k, Alpha: alpha}
 		}
-		res, err := approx.TopKBatch(bq)
+		res, err := approx.Search(bq)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i, got := range res {
-			want, err := exact.TopK(queries[start+i], qt, k, alpha)
+			want, err := topK(exact, queries[start+i], qt, k, alpha)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -551,20 +526,20 @@ func batchRecallAtK(b *testing.B, exact Index, approx Index, queries [][]float64
 	return float64(hit) / float64(total)
 }
 
-// measureBatchSpeedup times the same query set served as one TopKBatch
-// versus B sequential TopK calls and returns the aggregate-throughput
-// ratio. Both sides run long enough (>= ~0.3 s) to drown scheduler noise,
-// which matters because this number gates CI.
-func measureBatchSpeedup(b *testing.B, idx Index, queries []BatchQuery) float64 {
+// measureBatchSpeedup times the same query set served as one batched
+// Search versus B one-query Search calls and returns the
+// aggregate-throughput ratio. Both sides run long enough (>= ~0.3 s) to
+// drown scheduler noise, which matters because this number gates CI.
+func measureBatchSpeedup(b *testing.B, idx Index, queries []Query) float64 {
 	b.Helper()
 	batched := func() {
-		if _, err := idx.TopKBatch(queries); err != nil {
+		if _, err := idx.Search(queries); err != nil {
 			b.Fatal(err)
 		}
 	}
 	sequential := func() {
 		for _, q := range queries {
-			if _, err := idx.TopK(q.Vector, q.Time, q.K, q.Alpha); err != nil {
+			if _, err := search1(idx, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -595,7 +570,7 @@ func measureBatchSpeedup(b *testing.B, idx Index, queries []BatchQuery) float64 
 // cost of the WHOLE batch (divide by queries/op for per-query cost). Two
 // acceptance gates run inside the benchmark so the CI bench smoke
 // enforces them: batched recall@5 (measured end to end through
-// TopKBatch) must hold the pinned 0.9 floor on the 10k corpus, and the
+// Search) must hold the pinned 0.9 floor on the 10k corpus, and the
 // float batch=16/n=100k cell must beat sequential serving by >= 1.8×
 // aggregate throughput. The gate pins the float scan because that is
 // where batching pays: interleaved four-query distance chains and shared
@@ -626,9 +601,9 @@ func BenchmarkTopKBatch(b *testing.B) {
 						b.Fatalf("batched recall@5 = %.4f (%s, batch=%d) on the seeded %d-entry corpus, below the pinned %.2f floor",
 							recall, mode, batch, n, recallFloor)
 					}
-					queries := make([]BatchQuery, batch)
+					queries := make([]Query, batch)
 					for i := range queries {
-						queries[i] = BatchQuery{Vector: f.queries[i%len(f.queries)], Time: f.qt, K: k, Alpha: alpha}
+						queries[i] = Query{Vector: f.queries[i%len(f.queries)], Time: f.qt, K: k, Alpha: alpha}
 					}
 					if mode == "float" && batch == floorBatch && n == floorN {
 						speedup := measureBatchSpeedup(b, f.sharded, queries)
@@ -641,7 +616,7 @@ func BenchmarkTopKBatch(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := f.sharded.TopKBatch(queries); err != nil {
+						if _, err := f.sharded.Search(queries); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -659,7 +634,7 @@ func BenchmarkTopKBatch(b *testing.B) {
 // the workload that would drag a shared probe budget (and shared IVF
 // geometry) toward the loud tenant's distribution. The quiet tenant's
 // namespace carries its own probe budget, so its recall@5 against a
-// dedicated flat store must stay >= 0.9; the gate fails the benchmark
+// dedicated reference store must stay >= 0.9; the gate fails the benchmark
 // before the timed loop.
 func BenchmarkTenantIsolation(b *testing.B) {
 	const dim, k, shards = 32, 5, 8
@@ -669,20 +644,20 @@ func BenchmarkTenantIsolation(b *testing.B) {
 	loudEntries, _ := clusteredCorpus(7, 10*quietN, dim, 2)
 
 	sh := NewSharded(dim, shards, nil)
-	quiet := sh.Namespace("quiet")
-	dedicated := New(dim)
+	dedicated := newRef(dim)
 	for _, e := range quietEntries {
-		if err := quiet.Add(e); err != nil {
+		e.Namespace = "quiet"
+		if err := sh.Add(e); err != nil {
 			b.Fatal(err)
 		}
 		if err := dedicated.Add(e); err != nil {
 			b.Fatal(err)
 		}
 	}
-	loud := sh.Namespace("loud")
 	for i, e := range loudEntries {
 		e.ID = fmt.Sprintf("LOUD-%07d", i)
-		if err := loud.Add(e); err != nil {
+		e.Namespace = "loud"
+		if err := sh.Add(e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -696,7 +671,7 @@ func BenchmarkTenantIsolation(b *testing.B) {
 	}
 
 	qt := quietEntries[0].Time
-	recall := recallAtK(b, dedicated, quiet, queries, qt, k, alpha)
+	recall := recallOf(b, dedicated, sh, queries, Query{Time: qt, K: k, Alpha: alpha, Namespace: "quiet", Scoped: true})
 	if recall < 0.9 {
 		b.Fatalf("quiet-tenant recall@%d = %.4f under a 10x skewed co-tenant corpus, below the 0.9 isolation floor", k, recall)
 	}
@@ -704,9 +679,52 @@ func BenchmarkTenantIsolation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := quiet.TopK(queries[i%len(queries)], qt, k, alpha); err != nil {
+		if _, err := topKIn(sh, "quiet", queries[i%len(queries)], qt, k, alpha); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(recall, "recall@5")
+}
+
+// daemonCorpus is a daemon-shaped store's contents: n entries of dim 64
+// in 12 clusters over 40 categories, timestamps spread across the year
+// before the query time — the shape the serving daemon's -history sizes
+// produce.
+func daemonCorpus(n int) ([]Entry, [][]float64, time.Time) {
+	entries, queries := clusteredCorpus(653, n, 64, 12)
+	rng := rand.New(rand.NewSource(int64(n)))
+	qt := entries[0].Time
+	for i := range entries {
+		entries[i].Category = incident.Category(fmt.Sprintf("cat-%02d", rng.Intn(40)))
+		entries[i].Time = qt.AddDate(0, 0, -rng.Intn(365))
+	}
+	return entries, queries, qt
+}
+
+// BenchmarkSearchOne measures a one-query Search, plain and diverse, at
+// the serving daemon's store sizes — 300 (the default -history), 653 (one
+// year of the published corpus) and 2,665 entries — over 2 shards, the
+// daemon's default on a 2-CPU host, with the daemon's k and alpha. Results
+// are recorded in BENCH_retrieval.json.
+func BenchmarkSearchOne(b *testing.B) {
+	for _, n := range []int{300, 653, 2665} {
+		entries, queries, qt := daemonCorpus(n)
+		sh := NewSharded(64, 2, nil)
+		for _, e := range entries {
+			if err := sh.Add(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, diverse := range []bool{false, true} {
+			b.Run(fmt.Sprintf("diverse=%v/n=%d", diverse, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q := Query{Vector: queries[i%len(queries)], Time: qt, K: 5, Alpha: 0.3, Diverse: diverse}
+					if _, err := sh.Search([]Query{q}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

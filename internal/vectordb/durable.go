@@ -85,7 +85,7 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // /metrics durability gauges.
 type DurableStats struct {
 	// AppendedRecords counts records accepted into the group-commit
-	// batch since open (rotations reset the underlying log, not these).
+	// batch since open; compaction rotates the log, not this count.
 	AppendedRecords int64
 	// SyncedRecords counts records an fsync has made durable since open.
 	SyncedRecords int64
@@ -129,6 +129,12 @@ type Durable struct {
 	cur atomic.Value // Index
 	mu  sync.RWMutex
 	w   *wal.Writer
+
+	// retiredAppended/retiredSynced carry the record counts of the writers
+	// compaction has rotated out, so Stats counts since open; guarded by mu
+	// like w.
+	retiredAppended int64
+	retiredSynced   int64
 
 	replayed    atomic.Int64
 	lastCompact atomic.Int64 // unix nanos; 0 = never
@@ -257,8 +263,8 @@ func (d *Durable) applyRecord(staging Index, r wal.Record) error {
 		}
 		s, ok := AsSharded(staging)
 		if !ok {
-			// A flat store has no routing to restore; placement is
-			// irrelevant to its results.
+			// A store without shard routing has nothing to restore;
+			// placement is irrelevant to its results.
 			return nil
 		}
 		p, err := IVFFromCentroids(ev.Centroids, ev.Distortion)
@@ -404,6 +410,8 @@ func (d *Durable) compactLocked() error {
 	old := d.w
 	d.w = next
 	old.Close()
+	d.retiredAppended += old.Appended()
+	d.retiredSynced += old.Synced()
 	if fn := d.retrySnap.Load(); fn != nil {
 		for _, p := range (*fn)() {
 			if err := d.w.Append(wal.Record{Type: walRecRetry, Payload: p}); err != nil {
@@ -490,8 +498,8 @@ func (d *Durable) SetRetrySnapshot(fn func() [][]byte) {
 func (d *Durable) Stats() DurableStats {
 	st := DurableStats{ReplayedRecords: d.replayed.Load()}
 	d.mu.RLock()
-	st.AppendedRecords = d.w.Appended()
-	st.SyncedRecords = d.w.Synced()
+	st.AppendedRecords = d.retiredAppended + d.w.Appended()
+	st.SyncedRecords = d.retiredSynced + d.w.Synced()
 	st.LogBytes = d.w.Bytes()
 	if err := d.w.Err(); err != nil {
 		st.Err = err.Error()
@@ -541,25 +549,8 @@ func (d *Durable) Categories() []incident.Category { return d.load().Categories(
 // CountByCategory implements Index.
 func (d *Durable) CountByCategory() map[incident.Category]int { return d.load().CountByCategory() }
 
-// TopK implements Index, lock-free against compaction.
-func (d *Durable) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return d.load().TopK(query, qt, k, alpha)
-}
-
-// TopKDiverse implements Index.
-func (d *Durable) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return d.load().TopKDiverse(query, qt, k, alpha)
-}
-
-// TopKBatch implements Index.
-func (d *Durable) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return d.load().TopKBatch(queries)
-}
-
-// Namespace returns the durable view of one tenant namespace: Add tags
-// and journals (namespace included in the entry record), queries scope
-// through the serving store's view.
-func (d *Durable) Namespace(ns string) Index { return durableView{d: d, ns: ns} }
+// Search implements Index, lock-free against compaction.
+func (d *Durable) Search(queries []Query) ([][]Scored, error) { return d.load().Search(queries) }
 
 // Save implements Index, delegating to the serving store (snapshot +
 // serving-state trailer when sharded).
@@ -587,54 +578,3 @@ func (d *Durable) Load(r io.Reader) error {
 	d.cur.Store(&staging)
 	return d.compactLocked()
 }
-
-// durableView is Durable's namespace lens; see Durable.Namespace.
-type durableView struct {
-	d  *Durable
-	ns string
-}
-
-var _ Index = durableView{}
-
-func (v durableView) Dim() int { return v.d.load().Dim() }
-
-func (v durableView) Len() int { return v.d.load().Namespace(v.ns).Len() }
-
-// Add tags the entry with the view's namespace and journals it through
-// the durable root — the WAL entry record carries the tag, so replay
-// restores per-tenant contents and counts.
-func (v durableView) Add(e Entry) error {
-	e.Namespace = v.ns
-	return v.d.Add(e)
-}
-
-func (v durableView) Get(id string) (Entry, bool) { return v.d.load().Namespace(v.ns).Get(id) }
-
-func (v durableView) Categories() []incident.Category {
-	return v.d.load().Namespace(v.ns).Categories()
-}
-
-func (v durableView) CountByCategory() map[incident.Category]int {
-	return v.d.load().Namespace(v.ns).CountByCategory()
-}
-
-func (v durableView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopK(query, qt, k, alpha)
-}
-
-func (v durableView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopKDiverse(query, qt, k, alpha)
-}
-
-func (v durableView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.d.load().Namespace(v.ns).TopKBatch(queries)
-}
-
-func (v durableView) Namespace(ns string) Index { return v.d.Namespace(ns) }
-
-// Save writes the whole store, not just the view's namespace (a view is
-// a lens, not a partition); Load likewise replaces the whole store.
-func (v durableView) Save(w io.Writer) error { return v.d.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v durableView) Load(r io.Reader) error { return v.d.Load(r) }

@@ -53,10 +53,11 @@ func durQueries() [][]float64 {
 	return qs
 }
 
-// requireMatchesOracle checks the recovered store against the flat oracle
-// on every observable the issue's crash matrix names: Len, the exact ID
-// set, per-namespace counts, and bit-identical TopK.
-func requireMatchesOracle(t *testing.T, got Index, oracle *DB, ids []string, nsCounts map[string]int) {
+// requireMatchesOracle checks the recovered store against the reference
+// store on every observable the crash matrix names: Len, the exact ID
+// set, per-namespace counts, and bit-identical retrieval, unscoped and
+// scoped to each namespace.
+func requireMatchesOracle(t *testing.T, got Index, oracle *refStore, ids []string, nsCounts map[string]int) {
 	t.Helper()
 	if got.Len() != oracle.Len() {
 		t.Fatalf("Len = %d, oracle has %d", got.Len(), oracle.Len())
@@ -74,29 +75,26 @@ func requireMatchesOracle(t *testing.T, got Index, oracle *DB, ids []string, nsC
 			t.Fatalf("entry %s differs from oracle: %+v vs %+v", id, ge, oe)
 		}
 	}
-	for ns, want := range nsCounts {
-		view := got
-		if ns != "" {
-			view = got.Namespace(ns)
+	for ns := range nsCounts {
+		if g, o := nsLen(got, ns), oracle.nsLen(ns); g != o {
+			t.Fatalf("namespace %q Len = %d, oracle %d", ns, g, o)
 		}
-		ovw := Index(oracle)
-		if ns != "" {
-			ovw = oracle.Namespace(ns)
-		}
-		if ovw.Len() != view.Len() {
-			t.Fatalf("namespace %q Len = %d, oracle %d", ns, view.Len(), ovw.Len())
-		}
-		_ = want
 	}
 	qt := time.Date(2024, 4, 1, 0, 0, 0, 0, time.UTC)
 	for qi, q := range durQueries() {
-		gr, gerr := got.TopK(q, qt, 5, 0.1)
-		or, oerr := oracle.TopK(q, qt, 5, 0.1)
-		if (gerr == nil) != (oerr == nil) {
-			t.Fatalf("query %d: err %v vs oracle %v", qi, gerr, oerr)
+		batch := []Query{{Vector: q, Time: qt, K: 5, Alpha: 0.1}}
+		for ns := range nsCounts {
+			batch = append(batch, Query{Vector: q, Time: qt, K: 5, Alpha: 0.1, Namespace: ns, Scoped: true})
 		}
-		if !reflect.DeepEqual(gr, or) {
-			t.Fatalf("query %d: TopK diverges from oracle:\n got %v\nwant %v", qi, gr, or)
+		for _, bq := range batch {
+			gr, gerr := search1(got, bq)
+			or, oerr := search1(oracle, bq)
+			if (gerr == nil) != (oerr == nil) {
+				t.Fatalf("query %d: err %v vs oracle %v", qi, gerr, oerr)
+			}
+			if !reflect.DeepEqual(gr, or) {
+				t.Fatalf("query %d (scope %q): retrieval diverges from oracle:\n got %v\nwant %v", qi, bq.Namespace, gr, or)
+			}
 		}
 	}
 }
@@ -104,7 +102,7 @@ func requireMatchesOracle(t *testing.T, got Index, oracle *DB, ids []string, nsC
 // TestDurableCrashMatrix is the issue's crash-injection matrix: a scripted
 // 200-op sequence is journaled with per-record fsync, then for every frame
 // boundary in the resulting log (and a torn-tail variant of each) a fresh
-// store is opened from that prefix and must equal the flat oracle holding
+// store is opened from that prefix and must equal the reference store holding
 // exactly the entries whose records the prefix contains — Len, ID set,
 // per-namespace counts, bit-identical TopK. No crash point may lose a
 // committed record or resurrect an uncommitted one.
@@ -123,15 +121,10 @@ func TestDurableCrashMatrix(t *testing.T) {
 	var seq []Entry
 	for i := 0; i < 200; i++ {
 		e := durEntry(i, namespaces[i%len(namespaces)])
-		target := Index(d)
-		if e.Namespace != "" {
-			target = d.Namespace(e.Namespace)
-			e.Namespace = "" // the view tags it; mirrors production call sites
-		}
-		if err := target.Add(e); err != nil {
+		if err := d.Add(e); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		seq = append(seq, durEntry(i, namespaces[i%len(namespaces)]))
+		seq = append(seq, e)
 		if i == 100 {
 			s, ok := AsSharded(d)
 			if !ok {
@@ -165,9 +158,9 @@ func TestDurableCrashMatrix(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(cdir, walLogName), prefix, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The oracle is a flat store fed the entry records the prefix
+		// The oracle is a reference store fed the entry records the prefix
 		// actually commits, in log order.
-		oracle := New(8)
+		oracle := newRef(8)
 		nsCounts := map[string]int{"": 0, "payments": 0, "storage": 0}
 		_, _, rerr := wal.Replay(prefix, func(r wal.Record) error {
 			if r.Type != walRecEntry {
@@ -262,7 +255,7 @@ func TestDurableReopenFullState(t *testing.T) {
 // TestDurableCompactionRotates checks the checkpoint path: Compact writes
 // the snapshot, rotates to a near-empty log, and a reopen restores the
 // full contents from snapshot + fresh suffix without replaying the old
-// history.
+// history. The record counters count since open across the rotation.
 func TestDurableCompactionRotates(t *testing.T) {
 	dir := t.TempDir()
 	factory := func() Index { return NewIndex(8, Options{Shards: 4}) }
@@ -276,9 +269,19 @@ func TestDurableCompactionRotates(t *testing.T) {
 		}
 	}
 	before := d.Stats().LogBytes
+	requireCounts := func(when string, want int64) {
+		t.Helper()
+		st := d.Stats()
+		if st.AppendedRecords != want || st.SyncedRecords != want {
+			t.Fatalf("%s: appended %d, synced %d records, want %d each (one per add)",
+				when, st.AppendedRecords, st.SyncedRecords, want)
+		}
+	}
+	requireCounts("before compaction", 50)
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	requireCounts("after compaction", 50)
 	st := d.Stats()
 	if st.LastCompaction.IsZero() {
 		t.Fatal("LastCompaction still zero after Compact")
@@ -295,6 +298,7 @@ func TestDurableCompactionRotates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	requireCounts("after post-compaction adds", 60)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +311,7 @@ func TestDurableCompactionRotates(t *testing.T) {
 	if rec.Len() != 60 {
 		t.Fatalf("Len after compacted reopen = %d, want 60", rec.Len())
 	}
-	if got := rec.Namespace("payments").Len(); got != 60 {
+	if got := nsLen(rec, "payments"); got != 60 {
 		t.Fatalf("namespace count after compacted reopen = %d, want 60", got)
 	}
 	if got := rec.Stats().ReplayedRecords; got < 10 || got >= 50 {
@@ -513,8 +517,8 @@ func (n nopSync) Write(p []byte) (int, error) { return n.f.Write(p) }
 func (n nopSync) Sync() error                 { return n.f.Sync() }
 func (n nopSync) Close() error                { return n.f.Close() }
 
-// TestWALConcurrentAppendHammer races concurrent adds (root and
-// namespace views), lock-free queries, explicit compactions, and the
+// TestWALConcurrentAppendHammer races concurrent adds (default and
+// tagged namespaces), lock-free queries, explicit compactions, and the
 // group-commit goroutine against each other, then reopens once and
 // checks nothing committed was lost. Runs under -race in CI's fast-fail
 // list.
@@ -539,13 +543,10 @@ func TestWALConcurrentAppendHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				e := durEntry(wtr*perWriter+i, "")
-				var err error
 				if wtr%2 == 0 {
-					err = d.Namespace("hammer").Add(e)
-				} else {
-					err = d.Add(e)
+					e.Namespace = "hammer"
 				}
-				if err != nil {
+				if err := d.Add(e); err != nil {
 					t.Errorf("writer %d add %d: %v", wtr, i, err)
 					return
 				}
@@ -558,7 +559,7 @@ func TestWALConcurrentAppendHammer(t *testing.T) {
 		q := durQueries()[0]
 		qt := time.Date(2024, 4, 1, 0, 0, 0, 0, time.UTC)
 		for i := 0; i < 200; i++ {
-			if _, err := d.TopK(q, qt, 3, 0.1); err != nil {
+			if _, err := topK(d, q, qt, 3, 0.1); err != nil {
 				t.Errorf("query %d: %v", i, err)
 				return
 			}
@@ -588,7 +589,7 @@ func TestWALConcurrentAppendHammer(t *testing.T) {
 	if rec.Len() != writers*perWriter {
 		t.Fatalf("Len after hammer reopen = %d, want %d", rec.Len(), writers*perWriter)
 	}
-	if got := rec.Namespace("hammer").Len(); got != 2*perWriter {
+	if got := nsLen(rec, "hammer"); got != 2*perWriter {
 		t.Fatalf("hammer namespace Len = %d, want %d", got, 2*perWriter)
 	}
 }

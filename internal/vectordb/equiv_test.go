@@ -10,32 +10,32 @@ import (
 	"repro/internal/incident"
 )
 
-// buildDB fills a store with deterministic pseudo-random entries. Vectors
-// and times are drawn from small discrete sets so exact similarity ties
-// (same vector, same day, different IDs and categories) occur frequently —
-// the case where the ID tie-break decides the ranking.
-func buildDB(t *testing.T, seed int64, n, dim, numCats int) *DB {
+// buildDB fills a single-shard store and its reference twin with the same
+// deterministic pseudo-random entries. Vectors and times are drawn from
+// small discrete sets so exact similarity ties (same vector, same day,
+// different IDs and categories) occur frequently — the case where the ID
+// tie-break decides the ranking.
+func buildDB(t *testing.T, seed int64, n, dim, numCats int) (Index, *refStore) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	db := New(dim)
+	db, ref := NewIndex(dim, Options{Shards: 1}), newRef(dim)
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
 		v := make([]float64, dim)
 		for j := range v {
 			v[j] = float64(rng.Intn(4)) // coarse grid -> many exact ties
 		}
-		err := db.Add(Entry{
+		e := Entry{
 			ID:       fmt.Sprintf("INC-%06d", i),
 			Vector:   v,
 			Category: incident.Category(fmt.Sprintf("cat-%02d", rng.Intn(numCats))),
 			Time:     base.AddDate(0, 0, rng.Intn(10)),
 			Summary:  fmt.Sprintf("summary %d", i),
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		must(t, db.Add(e))
+		must(t, ref.Add(e))
 	}
-	return db
+	return db, ref
 }
 
 func sameScored(t *testing.T, name string, got, want []Scored) {
@@ -54,9 +54,10 @@ func sameScored(t *testing.T, name string, got, want []Scored) {
 	}
 }
 
-// TestHeapMatchesSortReference holds the streaming-heap TopK/TopKDiverse to
-// the retained full-sort reference across store sizes, k values (including
-// k > categories and k > n), alphas, and tie-heavy vector grids.
+// TestHeapMatchesSortReference holds the streaming-heap Search (plain and
+// diverse) to the full-sort reference store across store sizes, k values
+// (including k > categories and k > n), alphas, and tie-heavy vector
+// grids.
 func TestHeapMatchesSortReference(t *testing.T) {
 	qt := time.Date(2022, 1, 6, 0, 0, 0, 0, time.UTC)
 	cases := []struct {
@@ -72,7 +73,7 @@ func TestHeapMatchesSortReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := buildDB(t, tc.seed, tc.n, tc.dim, tc.numCats)
+			db, ref := buildDB(t, tc.seed, tc.n, tc.dim, tc.numCats)
 			rng := rand.New(rand.NewSource(tc.seed * 97))
 			for _, k := range []int{1, 2, 5, 15, tc.n + 10} {
 				for _, alpha := range []float64{0, 0.001, 0.3, 0.8} {
@@ -80,21 +81,21 @@ func TestHeapMatchesSortReference(t *testing.T) {
 					for j := range q {
 						q[j] = float64(rng.Intn(4))
 					}
-					heapK, err := db.TopK(q, qt, k, alpha)
+					heapK, err := topK(db, q, qt, k, alpha)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sortK, err := db.sortTopK(q, qt, k, alpha)
+					sortK, err := topK(ref, q, qt, k, alpha)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameScored(t, fmt.Sprintf("TopK k=%d a=%v", k, alpha), heapK, sortK)
 
-					heapD, err := db.TopKDiverse(q, qt, k, alpha)
+					heapD, err := topKDiverse(db, q, qt, k, alpha)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sortD, err := db.sortTopKDiverse(q, qt, k, alpha)
+					sortD, err := topKDiverse(ref, q, qt, k, alpha)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -106,25 +107,26 @@ func TestHeapMatchesSortReference(t *testing.T) {
 }
 
 // TestTieBreakByIDExact pins the tie contract directly: identical vectors
-// and timestamps must rank by ascending ID, in both implementations.
+// and timestamps must rank by ascending ID, in the store and the
+// reference alike.
 func TestTieBreakByIDExact(t *testing.T) {
-	db := New(2)
+	db, ref := NewIndex(2, Options{Shards: 1}), newRef(2)
 	at := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	// Insert in shuffled ID order so store order != ID order.
 	for _, id := range []string{"INC-C", "INC-A", "INC-D", "INC-B"} {
-		if err := db.Add(Entry{ID: id, Vector: []float64{1, 1}, Category: incident.Category("cat-" + id), Time: at}); err != nil {
-			t.Fatal(err)
-		}
+		e := Entry{ID: id, Vector: []float64{1, 1}, Category: incident.Category("cat-" + id), Time: at}
+		must(t, db.Add(e))
+		must(t, ref.Add(e))
 	}
 	q := []float64{0, 0}
 	for _, fn := range []struct {
 		name string
 		call func() ([]Scored, error)
 	}{
-		{"TopK", func() ([]Scored, error) { return db.TopK(q, at, 3, 0.3) }},
-		{"TopKDiverse", func() ([]Scored, error) { return db.TopKDiverse(q, at, 3, 0.3) }},
-		{"sortTopK", func() ([]Scored, error) { return db.sortTopK(q, at, 3, 0.3) }},
-		{"sortTopKDiverse", func() ([]Scored, error) { return db.sortTopKDiverse(q, at, 3, 0.3) }},
+		{"TopK", func() ([]Scored, error) { return topK(db, q, at, 3, 0.3) }},
+		{"TopKDiverse", func() ([]Scored, error) { return topKDiverse(db, q, at, 3, 0.3) }},
+		{"sortTopK", func() ([]Scored, error) { return topK(ref, q, at, 3, 0.3) }},
+		{"sortTopKDiverse", func() ([]Scored, error) { return topKDiverse(ref, q, at, 3, 0.3) }},
 	} {
 		got, err := fn.call()
 		if err != nil {
@@ -146,26 +148,26 @@ func TestTieBreakByIDExact(t *testing.T) {
 // exactly — the representative picked inside each category and the order
 // between categories must both follow the ID tie-break.
 func TestDiverseTieAcrossCategories(t *testing.T) {
-	db := New(1)
+	db, ref := NewIndex(1, Options{Shards: 1}), newRef(1)
 	at := time.Date(2022, 3, 1, 0, 0, 0, 0, time.UTC)
 	add := func(id, cat string) {
 		t.Helper()
-		if err := db.Add(Entry{ID: id, Vector: []float64{2}, Category: incident.Category(cat), Time: at}); err != nil {
-			t.Fatal(err)
-		}
+		e := Entry{ID: id, Vector: []float64{2}, Category: incident.Category(cat), Time: at}
+		must(t, db.Add(e))
+		must(t, ref.Add(e))
 	}
 	add("INC-9", "alpha") // ties with INC-1 within alpha: INC-1 must represent
 	add("INC-1", "alpha")
 	add("INC-5", "beta")
-	got, err := db.TopKDiverse([]float64{2}, at, 2, 0.3)
+	got, err := topKDiverse(db, []float64{2}, at, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := db.sortTopKDiverse([]float64{2}, at, 2, 0.3)
+	want, err := topKDiverse(ref, []float64{2}, at, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameScored(t, "diverse-tie", got, ref)
+	sameScored(t, "diverse-tie", got, want)
 	if got[0].Entry.ID != "INC-1" || got[1].Entry.ID != "INC-5" {
 		t.Fatalf("got %s,%s want INC-1,INC-5", got[0].Entry.ID, got[1].Entry.ID)
 	}
@@ -174,7 +176,7 @@ func TestDiverseTieAcrossCategories(t *testing.T) {
 // TestConcurrentAddAndQuery hammers the store with mixed writers and
 // readers; run under `go test -race` this proves the locking discipline.
 func TestConcurrentAddAndQuery(t *testing.T) {
-	db := New(4)
+	db := NewIndex(4, Options{Shards: 1})
 	at := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	// Seed a few entries so early queries have work to do.
 	for i := 0; i < 8; i++ {
@@ -213,11 +215,11 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 			defer wg.Done()
 			q := []float64{float64(r), 1, 1, 1}
 			for i := 0; i < perG; i++ {
-				if _, err := db.TopKDiverse(q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
+				if _, err := topKDiverse(db, q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := db.TopK(q, at, 3, 0.3); err != nil {
+				if _, err := topK(db, q, at, 3, 0.3); err != nil {
 					t.Error(err)
 					return
 				}

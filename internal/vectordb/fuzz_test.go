@@ -12,11 +12,11 @@ import (
 //
 //   - when the store reports the exact fallback (probes = 0, budget
 //     covering every populated partition, ...), results must be
-//     bit-identical to the flat reference — quantization enabled or not,
+//     bit-identical to the reference store — quantization enabled or not,
 //     the int8 stage must never leak into exact fan-out;
 //   - when probe mode engages and k×overfetch covers every probed
 //     partition, the quantized two-stage results must be bit-identical to
-//     a flat store built from exactly the probed partitions' entries —
+//     a reference store built from exactly the probed partitions' entries —
 //     candidate collection plus exact re-rank degenerates to exact search
 //     restricted to the selection;
 //   - when the candidate budget does NOT cover the probed partitions, the
@@ -24,15 +24,15 @@ import (
 //     from a probed partition with its exact (distance, similarity)
 //     re-ranked scores, in the standard retrieval order — and never a
 //     panic at any dim/overfetch/corpus shape;
-//   - at every fuzzed shape, TopKBatch over a batch of fuzzed size built
+//   - at every fuzzed shape, Search over a batch of fuzzed size built
 //     around the query (perturbed variants, mixed k/alpha/diverse, some
 //     members namespace-scoped) must return, per member, exactly the
-//     sequential TopK/TopKDiverse result — the batch bit-identity
-//     contract under all of the above modes at once;
+//     one-query Search result — the batch bit-identity contract under all
+//     of the above modes at once;
 //   - the corpus is spread across namespaces, and each non-default
-//     namespace view (flat and sharded, fresh tenants serving exact)
-//     must be bit-identical to a dedicated flat store holding only that
-//     tenant's entries — the namespace-view contract.
+//     namespace scope (on the store and on the reference, fresh tenants
+//     serving exact) must be bit-identical to a dedicated reference store
+//     holding only that tenant's entries — the namespace contract.
 //
 // The seeds double as regression tests on every plain `go test` run; CI
 // additionally runs a short coverage-guided session (-fuzz).
@@ -60,9 +60,9 @@ func FuzzProbeEquivalence(f *testing.F) {
 		// keep serving every entry regardless of tags, and each tenant view
 		// must see exactly its own slice.
 		tenants := []string{"", "tenant-a", "tenant-b"}
-		flat := New(dim)
+		flat := newRef(dim)
 		sh := NewSharded(dim, shards, nil)
-		dedicated := map[string]*DB{"tenant-a": New(dim), "tenant-b": New(dim)}
+		dedicated := map[string]*refStore{"tenant-a": newRef(dim), "tenant-b": newRef(dim)}
 		for i, e := range entries {
 			e.Namespace = tenants[i%len(tenants)]
 			must(t, flat.Add(e))
@@ -81,7 +81,7 @@ func FuzzProbeEquivalence(f *testing.F) {
 
 		// Recover the partition selection the query will see (in-package
 		// white-box access; the store is quiescent, so this is the same
-		// selection TopK computes), and whether the candidate budget covers
+		// selection Search computes), and whether the candidate budget covers
 		// every probed partition.
 		sh.mu.RLock()
 		sel := sh.probeShards(sh.gen, query, qt, 0.3, sh.Probes())
@@ -96,7 +96,7 @@ func FuzzProbeEquivalence(f *testing.F) {
 		oracle := flat
 		probedIDs := make(map[string]bool)
 		if sel != nil {
-			oracle = New(dim)
+			oracle = newRef(dim)
 			for _, probed := range sel {
 				for _, e := range probed.snapshot() {
 					must(t, oracle.Add(e))
@@ -105,37 +105,38 @@ func FuzzProbeEquivalence(f *testing.F) {
 			}
 		}
 
-		got, err := sh.TopK(query, qt, k, 0.3)
+		got, err := topK(sh, query, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotD, err := sh.TopKDiverse(query, qt, k, 0.3)
+		gotD, err := topKDiverse(sh, query, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Namespace-view bit-identity: a fresh tenant's probe budget is 0
+		// Namespace bit-identity: a fresh tenant's probe budget is 0
 		// (exact fan-out), so at every fuzzed shape — quantization and root
-		// probe budget included — both the sharded and the flat view must
-		// match a dedicated flat store holding only that tenant's entries.
+		// probe budget included — a query scoped to the tenant, on the store
+		// and on the reference alike, must match a dedicated reference store
+		// holding only that tenant's entries.
 		for ns, d := range dedicated {
-			wantNS, err := d.TopK(query, qt, k, 0.3)
+			wantNS, err := topK(d, query, qt, k, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, view := range []Index{sh.Namespace(ns), flat.Namespace(ns)} {
-				gotNS, err := view.TopK(query, qt, k, 0.3)
+			for _, idx := range []Index{sh, flat} {
+				gotNS, err := topKIn(idx, ns, query, qt, k, 0.3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sameScored(t, "namespace "+ns+" TopK", gotNS, wantNS)
 			}
-			wantNSD, err := d.TopKDiverse(query, qt, k, 0.3)
+			wantNSD, err := topKDiverse(d, query, qt, k, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, view := range []Index{sh.Namespace(ns), flat.Namespace(ns)} {
-				gotNSD, err := view.TopKDiverse(query, qt, k, 0.3)
+			for _, idx := range []Index{sh, flat} {
+				gotNSD, err := topKDiverseIn(idx, ns, query, qt, k, 0.3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,13 +146,13 @@ func FuzzProbeEquivalence(f *testing.F) {
 
 		// Batch bit-identity at this fuzzed shape: perturbed variants of
 		// the query with mixed k/alpha/diverse must each come back exactly
-		// as their sequential call would serve them — through whichever of
-		// the exact/probe-limited/quantized paths the shape selects.
-		batch := make([]BatchQuery, batchSize)
+		// as a one-query Search serves them — through whichever of the
+		// exact/probe-limited/quantized paths the shape selects.
+		batch := make([]Query, batchSize)
 		for i := range batch {
 			v := append([]float64(nil), query...)
 			v[i%dim] += float64(i) * 0.37
-			batch[i] = BatchQuery{
+			batch[i] = Query{
 				Vector:  v,
 				Time:    qt.AddDate(0, 0, i%2),
 				K:       1 + i%7,
@@ -164,21 +165,12 @@ func FuzzProbeEquivalence(f *testing.F) {
 				batch[i].Namespace, batch[i].Scoped = tenants[1+i%2], true
 			}
 		}
-		gotB, err := sh.TopKBatch(batch)
+		gotB, err := sh.Search(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, bq := range batch {
-			serve := Index(sh)
-			if bq.Scoped {
-				serve = sh.Namespace(bq.Namespace)
-			}
-			var wantB []Scored
-			if bq.Diverse {
-				wantB, err = serve.TopKDiverse(bq.Vector, bq.Time, bq.K, bq.Alpha)
-			} else {
-				wantB, err = serve.TopK(bq.Vector, bq.Time, bq.K, bq.Alpha)
-			}
+			wantB, err := search1(sh, bq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,12 +178,12 @@ func FuzzProbeEquivalence(f *testing.F) {
 		}
 
 		if sel == nil || covered {
-			want, err := oracle.TopK(query, qt, k, 0.3)
+			want, err := topK(oracle, query, qt, k, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameScored(t, "TopK", got, want)
-			wantD, err := oracle.TopKDiverse(query, qt, k, 0.3)
+			wantD, err := topKDiverse(oracle, query, qt, k, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +195,7 @@ func FuzzProbeEquivalence(f *testing.F) {
 		// Length must match the restricted oracle's, every hit must come
 		// from a probed partition carrying its exact re-ranked scores, and
 		// the ordering must be the standard retrieval order.
-		want, err := oracle.TopK(query, qt, k, 0.3)
+		want, err := topK(oracle, query, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}

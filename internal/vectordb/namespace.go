@@ -2,12 +2,8 @@ package vectordb
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/incident"
 )
 
 // nsState is one non-default namespace's serving state over the shared
@@ -37,9 +33,10 @@ type nsState struct {
 }
 
 // nsStateFor returns the namespace's serving state, creating it (and,
-// when adaptive serving is on, its controller) on first touch. The
-// default namespace has no nsState — callers receive nil and use the
-// root store's fields.
+// when adaptive serving is on, its controller) on first touch. Only
+// writers call it — Add, SetNamespaceProbes, and restoring persisted
+// state — so reads never create tenant state. The default namespace has
+// no nsState: callers receive nil and use the root store's fields.
 func (s *Sharded) nsStateFor(ns string) *nsState {
 	if ns == "" {
 		return nil
@@ -56,14 +53,25 @@ func (s *Sharded) nsStateFor(ns string) *nsState {
 	return st
 }
 
-// scopeNS resolves a query scope to the namespace state governing its
-// serving knobs: nil for unscoped queries and the default namespace
-// (both use the root store's probes/overfetch/tuner).
-func (s *Sharded) scopeNS(sc scope) *nsState {
-	if !sc.on || sc.ns == "" {
-		return nil
+// queryState resolves a query's scope to the namespace state governing its
+// serving knobs — nil for unscoped queries and the default namespace, both
+// of which use the root store's probes, overfetch and tuner — and reports
+// whether the scope holds any entries at all. It never creates state: a
+// query scoped to a namespace nothing was ever added to resolves to
+// (nil, false).
+func (s *Sharded) queryState(q *Query) (*nsState, bool) {
+	switch {
+	case !q.Scoped:
+		return nil, s.count.Load() > 0
+	case q.Namespace == "":
+		return nil, s.defCount.Load() > 0
 	}
-	return s.nsStateFor(sc.ns)
+	v, ok := s.nss.Load(q.Namespace)
+	if !ok {
+		return nil, false
+	}
+	st := v.(*nsState)
+	return st, st.count.Load() > 0
 }
 
 // probesFor returns the effective probe budget for a resolved scope.
@@ -105,9 +113,8 @@ func (s *Sharded) noteQuantScan(st *nsState) {
 
 // ensureNSTuner installs the namespace's adaptive controller if adaptive
 // serving is enabled on the store, consuming any serving state a Load
-// stashed for the namespace. Idempotent per nsState creation; called on
-// first namespace touch and again from EnableAdaptive for namespaces
-// that already exist.
+// stashed for the namespace. Called when the state is created and again
+// from EnableAdaptive for namespaces that already exist.
 func (s *Sharded) ensureNSTuner(st *nsState) {
 	cfgp := s.adaptiveCfg.Load()
 	if cfgp == nil {
@@ -214,80 +221,3 @@ func (s *Sharded) NamespaceStats() []NamespaceStats {
 	sort.Slice(out[1:], func(i, j int) bool { return out[1+i].Namespace < out[1+j].Namespace })
 	return out
 }
-
-// Namespace returns a view of the sharded store scoped to ns; see the
-// package comment's namespace contract. The view shares the shard pool,
-// worker budget, and locks with the root store; ns != "" additionally
-// gets its own serving state (probe budget, overfetch, controller) on
-// first touch.
-func (s *Sharded) Namespace(ns string) Index {
-	if ns != "" {
-		s.nsStateFor(ns)
-	}
-	return shardedView{s: s, ns: ns}
-}
-
-// shardedView is the sharded store's namespace view: a lens that tags on
-// Add and scopes every scan. Save/Load pass through to the whole store.
-type shardedView struct {
-	s  *Sharded
-	ns string
-}
-
-var _ Index = shardedView{}
-
-func (v shardedView) scope() scope { return scope{on: true, ns: v.ns} }
-
-func (v shardedView) Dim() int { return v.s.dim }
-
-func (v shardedView) Len() int {
-	if v.ns == "" {
-		return int(v.s.defCount.Load())
-	}
-	if st, ok := v.s.nss.Load(v.ns); ok {
-		return int(st.(*nsState).count.Load())
-	}
-	return 0
-}
-
-func (v shardedView) Add(e Entry) error {
-	e.Namespace = v.ns
-	return v.s.Add(e)
-}
-
-func (v shardedView) Get(id string) (Entry, bool) {
-	e, ok := v.s.Get(id)
-	if !ok || e.Namespace != v.ns {
-		return Entry{}, false
-	}
-	return e, true
-}
-
-func (v shardedView) Categories() []incident.Category {
-	return sortedCategories(v.CountByCategory())
-}
-
-func (v shardedView) CountByCategory() map[incident.Category]int {
-	return v.s.countByCategoryScoped(v.scope())
-}
-
-func (v shardedView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.s.topK(query, qt, k, alpha, false, v.scope())
-}
-
-func (v shardedView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.s.topKDiverse(query, qt, k, alpha, false, v.scope())
-}
-
-func (v shardedView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.s.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-// Save writes the WHOLE store, not just the view's namespace — a view is
-// a lens, not a partition. Load likewise replaces the whole store.
-func (v shardedView) Save(w io.Writer) error { return v.s.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v shardedView) Load(r io.Reader) error { return v.s.Load(r) }
-
-func (v shardedView) Namespace(ns string) Index { return v.s.Namespace(ns) }

@@ -9,12 +9,11 @@ import (
 	"time"
 )
 
-// snapshot is the gob wire format, shared by every Index implementation:
-// a flat entry list plus its dimensionality. The flat DB saves entries in
-// insertion order; the Sharded store saves them sorted by ID (its
-// insertion order is not deterministic under concurrent ingest). Either
-// implementation loads either ordering, so stores round-trip freely
-// between flat and sharded deployments.
+// snapshot is the gob wire format: a flat entry list plus its
+// dimensionality. Sharded.Save writes entries sorted by ID (insertion
+// order is not deterministic under concurrent ingest); Load accepts any
+// order and re-routes every entry, so snapshots move freely between shard
+// counts and partitioners.
 type snapshot struct {
 	Dim     int
 	Entries []Entry
@@ -25,10 +24,9 @@ type snapshot struct {
 // the controller's hysteresis floor and retrain clock, and the lifetime
 // recall aggregate — so a redeploy resumes at the converged SLO instead
 // of re-learning it from cold. The trailer is strictly additive to the
-// PR-0 wire format: a flat DB.Save file simply ends after the snapshot
-// (Load treats the clean EOF as "no trailer"), and DB.Load never reads
-// past the snapshot, so files round-trip freely across implementations
-// and versions.
+// original wire format: a file without one simply ends after the snapshot
+// (Load treats the clean EOF as "no trailer"), and a reader that stops
+// after the snapshot never sees it, so files round-trip across versions.
 type tunerState struct {
 	Version     int
 	Probes      int
@@ -65,15 +63,9 @@ const tunerStateVersion = 2
 // receiving store's dimensionality BEFORE any store state changes, so a
 // mismatched or corrupt file is rejected with a descriptive error instead
 // of corrupting the store: the store keeps its previous contents on every
-// error path.
-func decodeSnapshot(r io.Reader, dim int) (snapshot, error) {
-	return decodeSnapshotFrom(gob.NewDecoder(r), dim)
-}
-
-// decodeSnapshotFrom is decodeSnapshot over a caller-owned decoder, so
-// Sharded.Load can keep reading the optional serving-state trailer from
-// the same gob stream.
-func decodeSnapshotFrom(dec *gob.Decoder, dim int) (snapshot, error) {
+// error path. The decoder is the caller's, so Load can keep reading the
+// optional serving-state trailer from the same gob stream.
+func decodeSnapshot(dec *gob.Decoder, dim int) (snapshot, error) {
 	var snap snapshot
 	if err := dec.Decode(&snap); err != nil {
 		return snapshot{}, fmt.Errorf("vectordb: load: %w", err)
@@ -98,60 +90,12 @@ func decodeSnapshotFrom(dec *gob.Decoder, dim int) (snapshot, error) {
 	return snap, nil
 }
 
-// Save serializes the store to w, so a trained incident history survives
-// restarts of the on-call service.
-func (db *DB) Save(w io.Writer) error {
-	db.mu.RLock()
-	snap := snapshot{Dim: db.dim, Entries: make([]Entry, len(db.entries))}
-	copy(snap.Entries, db.entries)
-	// The columnar store keeps vectors out of the entries; the wire format
-	// carries them inline, so materialize each row into the copies.
-	for i := range snap.Entries {
-		snap.Entries[i].Vector = append([]float64(nil), db.row(i)...)
-	}
-	db.mu.RUnlock()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("vectordb: save: %w", err)
-	}
-	return nil
-}
-
-// Load replaces the store contents with a snapshot written by any Index
-// implementation's Save. The snapshot's dimensionality must match the
-// store's; on any validation error the store is left unchanged.
-func (db *DB) Load(r io.Reader) error {
-	snap, err := decodeSnapshot(r, db.dim)
-	if err != nil {
-		return err
-	}
-	byID := make(map[string]int, len(snap.Entries))
-	vecs := make([]float64, 0, len(snap.Entries)*db.dim)
-	for i := range snap.Entries {
-		byID[snap.Entries[i].ID] = i
-		vecs = append(vecs, snap.Entries[i].Vector...)
-		snap.Entries[i].Vector = nil
-	}
-	nsCount := make(map[string]int)
-	for i := range snap.Entries {
-		nsCount[snap.Entries[i].Namespace]++
-	}
-	db.mu.Lock()
-	db.entries = snap.Entries
-	db.vecs = vecs
-	db.byID = byID
-	db.nsCount = nsCount
-	db.mu.Unlock()
-	return nil
-}
-
-// Save serializes the sharded store in the same flat snapshot format the
-// flat DB writes, entries sorted by ID for determinism, so a sharded
-// deployment's history loads into a flat store and vice versa. Safe to
-// call mid-rebalance: the snapshot deduplicates entries that are briefly
-// visible in both generations. After the snapshot, Save appends the
-// versioned serving-state trailer (probe budget, tuner hysteresis and
-// retrain clock, lifetime recall aggregate); flat loaders never read that
-// far, so the wire format stays PR-0 compatible in both directions.
+// Save serializes the store in the flat snapshot format, entries sorted by
+// ID for determinism, so a history loads into a store of any shard count.
+// Safe to call mid-rebalance: the snapshot deduplicates entries that are
+// briefly visible in both generations. After the snapshot, Save appends
+// the versioned serving-state trailer (probe budget, tuner hysteresis and
+// retrain clock, lifetime recall aggregate).
 func (s *Sharded) Save(w io.Writer) error {
 	snap := snapshot{Dim: s.dim, Entries: s.snapshotSortedByID()}
 	enc := gob.NewEncoder(w)
@@ -200,7 +144,7 @@ func (s *Sharded) servingState() tunerState {
 }
 
 // decodeTunerState reads the optional serving-state trailer following a
-// snapshot on the same gob stream. A clean EOF means a PR-0 file with no
+// snapshot on the same gob stream. A clean EOF means a file with no
 // trailer (nil, nil); a malformed trailer is an error so Load can reject
 // the file before touching store state.
 func decodeTunerState(dec *gob.Decoder) (*tunerState, error) {
@@ -238,12 +182,12 @@ func (st *tunerState) validate() error {
 	return nil
 }
 
-// Load replaces the sharded store contents with a snapshot written by any
-// Index implementation's Save, routing every entry through the current
-// partitioner. On any validation error the store is left unchanged. Load
-// serializes against rebalances and is the one remaining operation that
-// holds the store-wide lock exclusively for its full duration (a wholesale
-// content replacement has no incremental form worth having).
+// Load replaces the store contents with a snapshot written by Save,
+// routing every entry through the current partitioner. On any validation
+// error the store is left unchanged. Load serializes against rebalances
+// and is the one remaining operation that holds the store-wide lock
+// exclusively for its full duration (a wholesale content replacement has
+// no incremental form worth having).
 //
 // A serving-state trailer (written by Sharded.Save) restores the saved
 // probe budget and rehydrates the tuner's hysteresis floor, retrain
@@ -253,7 +197,7 @@ func (st *tunerState) validate() error {
 // file.
 func (s *Sharded) Load(r io.Reader) error {
 	dec := gob.NewDecoder(r)
-	snap, err := decodeSnapshotFrom(dec, s.dim)
+	snap, err := decodeSnapshot(dec, s.dim)
 	if err != nil {
 		return err
 	}

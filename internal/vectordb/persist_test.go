@@ -9,7 +9,7 @@ import (
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New(3)
+	db := NewIndex(3, Options{Shards: 1})
 	must(t, db.Add(entry("a", "X", []float64{1, 0, 0}, 1)))
 	must(t, db.Add(entry("b", "Y", []float64{0, 1, 0}, 5)))
 	must(t, db.Add(entry("c", "X", []float64{0, 0, 1}, 9)))
@@ -18,7 +18,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	db2 := New(3)
+	db2 := NewIndex(3, Options{Shards: 1})
 	if err := db2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("loaded entry = %+v/%v", got, ok)
 	}
 	// Queries work identically after reload.
-	hits, err := db2.TopKDiverse([]float64{1, 0, 0}, t0, 2, 0.3)
+	hits, err := topKDiverse(db2, []float64{1, 0, 0}, t0, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +44,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsDimMismatch(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	must(t, db.Add(entry("a", "X", []float64{1, 0}, 1)))
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
-	for _, idx := range []Index{New(5), NewSharded(5, 4, nil)} {
+	for _, idx := range []Index{NewIndex(5, Options{Shards: 1}), NewSharded(5, 4, nil)} {
 		err := idx.Load(bytes.NewReader(snap))
 		if err == nil {
 			t.Fatal("dim mismatch should fail")
@@ -91,7 +91,7 @@ func TestLoadRejectsCorruptEntriesWithoutClobbering(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap := buf.Bytes()
-			for _, idx := range []Index{New(2), NewSharded(2, 3, nil)} {
+			for _, idx := range []Index{NewIndex(2, Options{Shards: 1}), NewSharded(2, 3, nil)} {
 				must(t, idx.Add(entry("keep", "K", []float64{7, 7}, 2)))
 				err := idx.Load(bytes.NewReader(snap))
 				if err == nil {
@@ -112,7 +112,7 @@ func TestLoadRejectsCorruptEntriesWithoutClobbering(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	if err := db.Load(bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Fatal("garbage should fail")
 	}
@@ -122,12 +122,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFlatShardedRoundTrip drives a snapshot flat → sharded → flat and
-// requires the final store to behave identically to the original: the two
-// implementations share one wire format.
+// TestFlatShardedRoundTrip drives a snapshot from the reference store (no
+// trailer, insertion order) into a 7-shard store and on into a 1-shard
+// store, and requires every hop to behave identically to the original:
+// snapshots move freely between shard counts.
 func TestFlatShardedRoundTrip(t *testing.T) {
 	const seed, n, dim, numCats = 21, 150, 5, 9
-	orig := New(dim)
+	orig := newRef(dim)
 	fillIndex(t, orig, seed, n, dim, numCats)
 
 	var flatSnap bytes.Buffer
@@ -147,20 +148,20 @@ func TestFlatShardedRoundTrip(t *testing.T) {
 	if err := sh.Save(&shardSnap); err != nil {
 		t.Fatal(err)
 	}
-	back := New(dim)
+	back := NewIndex(dim, Options{Shards: 1})
 	if err := back.Load(&shardSnap); err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != n {
 		t.Fatalf("flat reloaded %d entries, want %d", back.Len(), n)
 	}
-	for _, e := range orig.scoreAllSorted(make([]float64, dim), t0, 0) {
-		got, ok := back.Get(e.Entry.ID)
+	for _, e := range orig.entries {
+		got, ok := back.Get(e.ID)
 		if !ok {
-			t.Fatalf("entry %s lost in round trip", e.Entry.ID)
+			t.Fatalf("entry %s lost in round trip", e.ID)
 		}
-		if got.Category != e.Entry.Category || !got.Time.Equal(e.Entry.Time) || got.Summary != e.Entry.Summary {
-			t.Fatalf("entry %s mutated in round trip: %+v vs %+v", e.Entry.ID, got, e.Entry)
+		if got.Category != e.Category || !got.Time.Equal(e.Time) || got.Summary != e.Summary {
+			t.Fatalf("entry %s mutated in round trip: %+v vs %+v", e.ID, got, e)
 		}
 	}
 	queryGrid(t, "sharded->flat", orig, back, seed+1, n, dim)
@@ -174,7 +175,7 @@ func TestFlatShardedRoundTrip(t *testing.T) {
 }
 
 func TestCountByCategory(t *testing.T) {
-	db := New(1)
+	db := NewIndex(1, Options{Shards: 1})
 	must(t, db.Add(entry("a", "X", []float64{1}, 0)))
 	must(t, db.Add(entry("b", "X", []float64{2}, 0)))
 	must(t, db.Add(entry("c", "Y", []float64{3}, 0)))
@@ -301,7 +302,7 @@ func TestServingStateRoundTrip(t *testing.T) {
 
 // TestLoadRejectsCorruptTrailerWithoutClobbering appends malformed
 // serving-state trailers to a valid snapshot: Sharded.Load must reject the
-// file before touching store state, and a flat DB — which never reads past
+// file before touching store state, and a reader that never reads past
 // the snapshot — must keep loading it.
 func TestLoadRejectsCorruptTrailerWithoutClobbering(t *testing.T) {
 	encode := func(st *tunerState) []byte {
@@ -349,9 +350,9 @@ func TestLoadRejectsCorruptTrailerWithoutClobbering(t *testing.T) {
 			if _, ok := sh.Get("keep"); !ok {
 				t.Fatal("failed load dropped existing entry")
 			}
-			// The flat DB stops reading at the snapshot, so the same bytes
-			// stay loadable there: trailer corruption cannot strand a file.
-			db := New(2)
+			// A reader that stops at the snapshot (the reference store) still
+			// loads the same bytes: trailer corruption cannot strand a file.
+			db := newRef(2)
 			if err := db.Load(bytes.NewReader(tc.file)); err != nil {
 				t.Fatalf("flat load of trailing-garbage file: %v", err)
 			}

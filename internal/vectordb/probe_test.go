@@ -122,14 +122,21 @@ func timeSpreadCorpus(seed int64, n, dim, pairs int) (entries []Entry, queries [
 
 // recallAtK measures |approx ∩ exact| / |exact| averaged over queries.
 func recallAtK(t testing.TB, exact, approx Index, queries [][]float64, qt time.Time, k int, alpha float64) float64 {
+	return recallOf(t, exact, approx, queries, Query{Time: qt, K: k, Alpha: alpha})
+}
+
+// recallOf is recallAtK over one-query searches shaped by tmpl (its
+// Vector replaced by each query vector in turn).
+func recallOf(t testing.TB, exact, approx Index, queries [][]float64, tmpl Query) float64 {
 	t.Helper()
 	var hit, total int
 	for _, q := range queries {
-		want, err := exact.TopK(q, qt, k, alpha)
+		tmpl.Vector = q
+		want, err := search1(exact, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := approx.TopK(q, qt, k, alpha)
+		got, err := search1(approx, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +160,14 @@ func recallAtK(t testing.TB, exact, approx Index, queries [][]float64, qt time.T
 // TestProbeRecallFloor is the probe-mode golden from the acceptance
 // criteria: on the deterministic seeded 10k-entry clustered corpus, an
 // 8-shard IVF store probing only 2 partitions must keep recall@5 >= 0.9
-// against the flat exact reference. The same floor is enforced on every
+// against the reference store. The same floor is enforced on every
 // CI bench run by BenchmarkTopKProbes.
 func TestProbeRecallFloor(t *testing.T) {
 	const n, dim, shards, probes, k = 10_000, 32, 8, 2, 5
 	entries, queries := clusteredCorpus(99, n, dim, 12)
 	qt := entries[0].Time
 
-	flat := New(dim)
+	flat := newRef(dim)
 	sh := NewSharded(dim, shards, nil)
 	for _, e := range entries {
 		must(t, flat.Add(e))
@@ -181,10 +188,10 @@ func TestProbeRecallFloor(t *testing.T) {
 // TestProbeFallsBackExact pins every documented exact-fallback condition:
 // probes <= 0, probes >= shards, probes covering all non-empty shards,
 // and a category-hash partitioner. In each, probe-configured results must
-// be bit-identical to the flat reference.
+// be bit-identical to the reference store.
 func TestProbeFallsBackExact(t *testing.T) {
 	const seed, n, dim, numCats = 21, 300, 6, 12
-	flat := New(dim)
+	flat := newRef(dim)
 	fillIndex(t, flat, seed, n, dim, numCats)
 
 	cases := []struct {
@@ -241,7 +248,7 @@ func TestSetProbesValidation(t *testing.T) {
 func TestProbeSkipsEmptyPartitions(t *testing.T) {
 	const dim = 3
 	sh := NewSharded(dim, 6, nil)
-	flat := New(dim)
+	flat := newRef(dim)
 	// Two distinct vector values across 8 entries -> at most 2 populated
 	// IVF partitions, 4+ empty ones.
 	for i := 0; i < 8; i++ {
@@ -266,11 +273,11 @@ func TestProbeSkipsEmptyPartitions(t *testing.T) {
 		t.Fatalf("expected <= 2 populated partitions, got lens %v", sh.ShardLens())
 	}
 	must(t, sh.SetProbes(1))
-	got, err := sh.TopK([]float64{9, 9, 9}, t0, 4, 0.3)
+	got, err := topK(sh, []float64{9, 9, 9}, t0, 4, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := flat.TopK([]float64{9, 9, 9}, t0, 4, 0.3)
+	want, err := topK(flat, []float64{9, 9, 9}, t0, 4, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +297,7 @@ func TestTimeAwareProbeRanking(t *testing.T) {
 	const n, dim, pairs, shards, k = 2000, 16, 3, 10, 5
 	entries, queries, qt := timeSpreadCorpus(8, n, dim, pairs)
 
-	flat := New(dim)
+	flat := newRef(dim)
 	sh := NewSharded(dim, shards, nil)
 	for _, e := range entries {
 		must(t, flat.Add(e))
@@ -333,7 +340,7 @@ func TestProbeModePrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	must(t, sh.SetProbes(1))
-	got, err := sh.TopK([]float64{1, 0}, t0, 8, 0.3)
+	got, err := topK(sh, []float64{1, 0}, t0, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +352,7 @@ func TestProbeModePrunes(t *testing.T) {
 			t.Fatalf("probed partition leaked entry %s", sc.Entry.ID)
 		}
 	}
-	diverse, err := sh.TopKDiverse([]float64{1, 0}, t0, 8, 0.3)
+	diverse, err := topKDiverse(sh, []float64{1, 0}, t0, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/incident"
 )
 
 // DefaultOverfetch is the candidate over-fetch factor the quantized stage
@@ -228,110 +226,91 @@ func fastExp(x float64) float64 {
 	return math.Float64frombits(uint64(int64(1512775.3951951856*x) + 4607182418800017408))
 }
 
-// scanQuantized is the first stage: walk the shard's int8 rows and keep
-// the `want` rows with the best approximate similarity. The weighted code
-// distance Σ w[d]·(Δcode)² is expanded as s2[row] + q2 − 2·Σ wq[d]·code —
-// the per-row half (s2) is precomputed at encode time and the per-query
-// half (wq, q2) is hoisted out of the loop, so the inner loop is a single
-// widening multiply-accumulate per dimension, all exact integer
-// arithmetic. The per-row epilogue is one sqrt + fast-exp; the
-// approximate similarity reuses the exact form 1/(1+d̂)·e^(−α·Δt) so the
-// distance-vs-recency blend matches the re-rank's, and the division is
-// deferred behind a cross-multiplied threshold check
-// (decay > thr·(1+d̂) ⇔ sim > thr), so rows that cannot displace the kept
-// candidates cost no divide. Caller holds sh.mu and has checked the
-// sidecar is in sync with the entries.
-func (sh *shard) scanQuantized(q *quantSidecar, query []float64, qt time.Time, want int, alpha float64, ns scope) qHeap {
-	qq := q.encodeQuery(query)
-	qdays := daysOf(qt)
+// scanQuantized is the two-stage scan for the quantMember queries
+// (positions in members): one walk of the int8 rows keeps each query's
+// k×ofs[qi] rows with the best approximate similarity, then each query
+// re-scores its candidates against the full-precision backing under the
+// exact similarity into its selection. When the candidate pool covers the
+// shard the result is identical to the float scan — every row is a
+// candidate and the re-rank IS the exact scan — which is the property the
+// fuzz oracle pins. Each query's pool is k times ITS overfetch factor
+// (per-namespace escalation means co-batched tenants can carry different
+// factors).
+//
+// The weighted code distance Σ w[d]·(Δcode)² is expanded as
+// s2[row] + q2 − 2·Σ wq[d]·code — the per-row half (s2) is precomputed at
+// encode time and the per-query half (wq, q2) is hoisted out of the loop,
+// so the inner loop is a single widening multiply-accumulate per
+// dimension, all exact integer arithmetic. The per-row epilogue is one
+// sqrt + fast-exp; the approximate similarity reuses the exact form
+// 1/(1+d̂)·e^(−α·Δt) so the distance-vs-recency blend matches the
+// re-rank's, and the division is deferred behind a cross-multiplied
+// threshold check (decay > thr·(1+d̂) ⇔ sim > thr), so rows that cannot
+// displace the kept candidates cost no divide. Caller holds sh.mu and has
+// checked the sidecar is in sync with the entries.
+func (sh *shard) scanQuantized(queries []Query, members, quantM []int, ofs []int, sels []selection) {
+	q := sh.quant
 	dim := sh.dim
-	wq := make([]int64, dim)
-	var q2 int64
-	for d, c := range qq[:dim] {
-		wq[d] = q.w[d] * c
-		q2 += wq[d] * c
+	type qstate struct {
+		query *Query
+		wq    []int64
+		q2    int64
+		qdays float64
+		want  int
+		thr   float64
+		cands qHeap
 	}
-	cands := make(qHeap, 0, min(want, len(sh.entries))+1)
-	thr := math.Inf(-1)
+	states := make([]qstate, len(quantM))
+	for x, j := range quantM {
+		query := &queries[members[j]]
+		st := qstate{
+			query: query,
+			wq:    make([]int64, dim),
+			qdays: daysOf(query.Time),
+			want:  query.K * ofs[members[j]],
+			thr:   math.Inf(-1),
+		}
+		for d, c := range q.encodeQuery(query.Vector)[:dim] {
+			st.wq[d] = q.w[d] * c
+			st.q2 += st.wq[d] * c
+		}
+		st.cands = make(qHeap, 0, min(st.want, len(sh.entries))+1)
+		states[x] = st
+	}
 	for i := range sh.entries {
-		if !ns.match(sh.entries[i].Namespace) {
-			continue
-		}
 		row := q.codes[i*dim : i*dim+dim]
-		var dot int64
-		for d, c := range row {
-			dot += wq[d] * int64(c)
-		}
-		acc := q.s2[i] + q2 - 2*dot
-		dist := q.unit * math.Sqrt(float64(acc))
-		dt := qdays - q.days[i]
-		if dt < 0 {
-			dt = -dt
-		}
-		decay := fastExp(-alpha * dt)
-		if decay <= thr*(1+dist) {
-			continue // cannot displace the worst kept candidate (ties lose to the earlier row)
-		}
-		cands.offer(qCand{idx: i, sim: decay / (1 + dist)}, want)
-		if len(cands) == want {
-			thr = cands[0].sim
-		}
-	}
-	return cands
-}
-
-// topKQuantized is the shard's two-stage probe scan: the int8 stage
-// collects k×overfetch candidates, then each candidate is re-scored
-// against the full-precision backing under the exact similarity and the
-// best k win. When the candidate budget covers the whole shard the result
-// is identical to the exact scan — every row is a candidate and the
-// re-rank IS the exact scan — which is the property the fuzz oracle
-// pins. A shard whose sidecar is missing or momentarily out of sync
-// (EnableQuantized racing an Add) serves full precision instead.
-func (sh *shard) topKQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) []Scored {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	q := sh.quant
-	if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
-		return sh.topKLocked(query, qt, k, alpha, ns)
-	}
-	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
-	h := make(worstFirst, 0, k+1)
-	for _, c := range cands {
-		d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
-		h.offer(Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}, k)
-	}
-	for i := range h {
-		h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
-	}
-	return h.drain()
-}
-
-// categoryBestQuantized is the two-stage form of categoryBest: per-category
-// bests are taken over the re-ranked candidate set rather than the whole
-// shard. Identical to the exact pass whenever the candidate budget covers
-// the shard.
-func (sh *shard) categoryBestQuantized(query []float64, qt time.Time, k, overfetch int, alpha float64, ns scope) map[incident.Category]Scored {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	q := sh.quant
-	if q == nil || len(q.codes) != len(sh.entries)*sh.dim {
-		return sh.categoryBestLocked(query, qt, alpha, ns)
-	}
-	cands := sh.scanQuantized(q, query, qt, k*overfetch, alpha, ns)
-	best := make(map[incident.Category]Scored)
-	for _, c := range cands {
-		d, s := similarityAt(query, qt, sh.row(c.idx), sh.entries[c.idx].Time, alpha)
-		sc := Scored{Entry: sh.entries[c.idx], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
+		for x := range states {
+			st := &states[x]
+			if !st.query.sees(sh.entries[i].Namespace) {
+				continue
+			}
+			var dot int64
+			for d, c := range row {
+				dot += st.wq[d] * int64(c)
+			}
+			acc := q.s2[i] + st.q2 - 2*dot
+			dist := q.unit * math.Sqrt(float64(acc))
+			dt := st.qdays - q.days[i]
+			if dt < 0 {
+				dt = -dt
+			}
+			decay := fastExp(-st.query.Alpha * dt)
+			if decay <= st.thr*(1+dist) {
+				continue // cannot displace the worst kept candidate (ties lose to the earlier row)
+			}
+			st.cands.offer(qCand{idx: i, sim: decay / (1 + dist)}, st.want)
+			if len(st.cands) == st.want {
+				st.thr = st.cands[0].sim
+			}
 		}
 	}
-	for cat, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-		best[cat] = sc
+	for x, j := range quantM {
+		query := states[x].query
+		for _, c := range states[x].cands {
+			d, sim := similarityAt(query.Vector, query.Time, sh.row(c.idx), sh.entries[c.idx].Time, query.Alpha)
+			sels[j].offer(sh, c.idx, d, sim)
+		}
 	}
-	return best
 }
 
 // rebuildQuant retrains the shard's sidecar from its current contents
@@ -348,7 +327,7 @@ func (sh *shard) rebuildQuant() {
 // precision (overfetch 0 selects DefaultOverfetch; negative values are
 // rejected). Exact fan-out — probes off, rebalance draining, forced-exact
 // shadow queries — always reads the float backing, so exact results stay
-// bit-identical to the flat store whether or not quantization is on.
+// bit-identical whether or not quantization is on.
 // Sidecars track Adds incrementally, retrain on Rebalance/TrainIVF/Load,
 // and an out-of-range insert clamps and schedules an asynchronous
 // per-shard rescale. Idempotent; safe to call on a serving store.

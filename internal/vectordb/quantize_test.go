@@ -10,12 +10,12 @@ import (
 )
 
 // quantFixture builds a trained, probe-serving sharded store (plus its
-// flat twin) on the seeded clustered corpus — the minimal setup on which
+// reference twin) on the seeded clustered corpus — the minimal setup on which
 // the quantized two-stage scan actually engages.
-func quantFixture(t *testing.T, n, dim, shards, probes int) (*DB, *Sharded, [][]float64, time.Time) {
+func quantFixture(t *testing.T, n, dim, shards, probes int) (*refStore, *Sharded, [][]float64, time.Time) {
 	t.Helper()
 	entries, queries := clusteredCorpus(99, n, dim, 6)
-	flat := New(dim)
+	flat := newRef(dim)
 	sh := NewSharded(dim, shards, nil)
 	for _, e := range entries {
 		must(t, flat.Add(e))
@@ -41,20 +41,20 @@ func TestQuantizedCoveringMatchesUnquantized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries[:20] {
-		gotK, err := sh.TopK(q, qt, k, 0.3)
+		gotK, err := topK(sh, q, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotD, err := sh.TopKDiverse(q, qt, k, 0.3)
+		gotD, err := topKDiverse(sh, q, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sh.DisableQuantized()
-		wantK, err := sh.TopK(q, qt, k, 0.3)
+		wantK, err := topK(sh, q, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantD, err := sh.TopKDiverse(q, qt, k, 0.3)
+		wantD, err := topKDiverse(sh, q, qt, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestQuantizedCoveringMatchesUnquantized(t *testing.T) {
 // bit-identical to flat, with zero quantized scans.
 func TestQuantizedExactModeBitIdentical(t *testing.T) {
 	const seed, n, dim, numCats = 21, 300, 6, 12
-	flat := New(dim)
+	flat := newRef(dim)
 	fillIndex(t, flat, seed, n, dim, numCats)
 	sh := NewSharded(dim, 7, nil)
 	fillIndex(t, sh, seed, n, dim, numCats)
@@ -230,7 +230,7 @@ func TestQuantizedRescaleOnClamp(t *testing.T) {
 	}
 	quantInSync(t, sh, true)
 
-	got, err := sh.TopK([]float64{100, 100, 100, 100}, t0, 1, 0.3)
+	got, err := topK(sh, []float64{100, 100, 100, 100}, t0, 1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestQuantizedSurvivesTrainIVF(t *testing.T) {
 		t.Fatal("TrainIVF disabled quantization")
 	}
 	quantInSync(t, sh, true)
-	got, err := sh.TopK(queries[0], qt, k, 0.3)
+	got, err := topK(sh, queries[0], qt, k, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh.DisableQuantized()
-	want, err := sh.TopK(queries[0], qt, k, 0.3)
+	want, err := topK(sh, queries[0], qt, k, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestQuantizedLoadRebuildsSidecars(t *testing.T) {
 	}
 	must(t, dst.SetProbes(probes))
 	quantInSync(t, dst, true)
-	got, err := dst.TopK(queries[0], qt, k, 0.3)
+	got, err := topK(dst, queries[0], qt, k, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sh.TopK(queries[0], qt, k, 0.3)
+	want, err := topK(sh, queries[0], qt, k, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +359,11 @@ func TestQuantizedConcurrentHammer(t *testing.T) {
 			default:
 			}
 			q := queries[i%len(queries)]
-			if _, err := sh.TopK(q, t0, 5, 0.3); err != nil {
+			if _, err := topK(sh, q, t0, 5, 0.3); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := sh.TopKDiverse(q, t0, 3, 0.3); err != nil {
+			if _, err := topKDiverse(sh, q, t0, 3, 0.3); err != nil {
 				t.Error(err)
 				return
 			}
@@ -403,7 +403,7 @@ func TestQuantizedConcurrentHammer(t *testing.T) {
 	quantInSync(t, sh, false)
 
 	// Exact fan-out must still match a flat rebuild exactly.
-	flat := New(dim)
+	flat := newRef(dim)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}

@@ -49,7 +49,7 @@ func TestRebalanceRejectsHostilePartitioner(t *testing.T) {
 			fillIndex(t, sh, seed, n, dim, numCats)
 			qt := time.Date(2022, 1, 6, 0, 0, 0, 0, time.UTC)
 			q := []float64{1, 2, 0, 3}
-			before, err := sh.TopK(q, qt, 10, 0.3)
+			before, err := topK(sh, q, qt, 10, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestRebalanceRejectsHostilePartitioner(t *testing.T) {
 			if sh.NumShards() != prevShards || sh.Partitioner() != prevParts || sh.Epoch() != prevEpoch {
 				t.Fatal("rejected rebalance changed routing state")
 			}
-			after, err := sh.TopK(q, qt, 10, 0.3)
+			after, err := topK(sh, q, qt, 10, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,11 +151,11 @@ func TestRebalanceDoesNotStopTheWorld(t *testing.T) {
 			ops <- err
 			return
 		}
-		if _, err := sh.TopK([]float64{5, 5}, t0, 5, 0.3); err != nil {
+		if _, err := topK(sh, []float64{5, 5}, t0, 5, 0.3); err != nil {
 			ops <- err
 			return
 		}
-		if _, err := sh.TopKDiverse([]float64{5, 5}, t0, 5, 0.3); err != nil {
+		if _, err := topKDiverse(sh, []float64{5, 5}, t0, 5, 0.3); err != nil {
 			ops <- err
 			return
 		}
@@ -178,9 +178,9 @@ func TestRebalanceDoesNotStopTheWorld(t *testing.T) {
 		t.Fatal("Add/TopK blocked behind an in-flight rebalance (store-wide exclusive lock?)")
 	}
 
-	// Mid-rebalance queries stay exact: identical to a flat store over the
+	// Mid-rebalance queries stay exact: identical to a reference store over the
 	// deduplicated snapshot.
-	flat := New(dim)
+	flat := newRef(dim)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}
@@ -218,7 +218,7 @@ func idSet(s *Sharded) map[string]bool {
 // checklist: concurrent Add + TopK/TopKDiverse/Get with TrainIVF and
 // Rebalance repeatedly mid-flight. Run under -race it proves the locking;
 // after quiesce, Len and the ID set must show no dropped or duplicated
-// entries and results must match a flat reference exactly.
+// entries and results must match the reference store exactly.
 func TestIncrementalRebalanceHammer(t *testing.T) {
 	const writers, readers, rebalancers, perG = 4, 3, 2, 120
 	sh := NewSharded(4, 6, nil)
@@ -256,11 +256,11 @@ func TestIncrementalRebalanceHammer(t *testing.T) {
 			defer wg.Done()
 			q := []float64{float64(r), 1, 1, 1}
 			for i := 0; i < perG; i++ {
-				if _, err := sh.TopK(q, at, 5, 0.3); err != nil {
+				if _, err := topK(sh, q, at, 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := sh.TopKDiverse(q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
+				if _, err := topKDiverse(sh, q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -312,7 +312,7 @@ func TestIncrementalRebalanceHammer(t *testing.T) {
 			}
 		}
 	}
-	flat := New(4)
+	flat := newRef(4)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}

@@ -2,48 +2,43 @@ package vectordb
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/incident"
-	"repro/internal/parallel"
 )
 
-// Sharded is a vector store partitioned across N shards, the
-// scale-oriented Index implementation. Entries route to a shard through a
-// Partitioner (category-hash by default, or a trained IVF coarse
-// quantizer), each shard guards its slice with its own lock, and queries
-// fan out across shards on the shared internal/parallel pool — so
-// concurrent inserts contend per shard instead of on one store-wide write
-// lock, and a TopK over millions of entries splits into N streaming
-// heap scans that run on every available core.
+// Sharded is the vector store: entries are partitioned across N shards
+// (one is the flat case). Entries route to a shard through a Partitioner
+// (category-hash by default, or a trained IVF coarse quantizer), each
+// shard guards its rows with its own lock, and Search fans the scan out
+// across shards on the shared internal/parallel pool — so concurrent
+// inserts contend per shard instead of on one store-wide write lock, and
+// a query over millions of entries splits into N streaming scans that run
+// on every available core.
 //
 // # Exact vs probe-limited serving
 //
 // By default every query searches every shard exactly and per-shard
-// candidates merge under the same total retrieval order as the flat store
-// — similarity descending, ties by ascending entry ID — so results are
-// bit-identical to DB's for any shard count, partitioner, and insert
-// interleaving. TopK merges the per-shard bounded heaps through one final
-// size-k heap; TopKDiverse merges the per-shard per-category bests by
-// keeping each category's best-ranked representative (a commutative,
-// associative reduction under the total order) before the final heap.
+// candidates merge under the total retrieval order — similarity
+// descending, ties by ascending entry ID — so results are identical for
+// any shard count, partitioner, and insert interleaving. Plain queries
+// merge the per-shard bounded heaps through one final size-k heap;
+// diverse queries merge per-shard per-category bests by keeping each
+// category's best-ranked representative (a commutative, associative
+// reduction under the total order) before the final heap.
 //
 // SetProbes(p) with p > 0 opts into approximate serving: when the store is
-// routed by a trained IVF quantizer, TopK and TopKDiverse search only the
-// p partitions whose centroids are nearest the query (skipping empty
-// partitions so no probe is wasted), trading recall for a ~shards/p scan
-// reduction. Probe mode silently falls back to exact fan-out whenever its
-// preconditions do not hold: probes <= 0, probes >= the number of
-// (non-empty) shards, a category-hash partitioner (its placement carries
-// no geometry to probe), or a rebalance in flight. Probe selection ranks
-// centroids by plain vector distance — the temporal-decay factor of the
-// similarity is per-entry, not per-centroid — so recall degrades when
-// recency dominates ranking; see the package comment for the full
-// contract.
+// routed by a trained IVF quantizer, queries search only the p partitions
+// ranked nearest the query (skipping empty partitions so no probe is
+// wasted), trading recall for a ~shards/p scan reduction. Probe mode
+// silently falls back to exact fan-out whenever its preconditions do not
+// hold: probes <= 0, probes >= the number of (non-empty) shards, a
+// category-hash partitioner (its placement carries no geometry to probe),
+// or a rebalance in flight. See the package comment for the full contract
+// and for time-aware probe ranking.
 //
 // EnableQuantized layers a two-stage scan onto probe-limited serving:
 // each probed shard walks an int8 scalar-quantized sidecar of its
@@ -72,8 +67,8 @@ import (
 // While a rebalance drains, a migrating entry is briefly visible in both
 // its old and new shard (copy first, clear after — never in neither), and
 // queries scan the old generation to completion before the new one, then
-// deduplicate by ID, so exact results stay bit-identical to the flat
-// reference even mid-rebalance.
+// deduplicate by ID, so exact results stay bit-identical even
+// mid-rebalance.
 //
 // # Memory layout
 //
@@ -81,9 +76,7 @@ import (
 // rather than one heap allocation per entry. The distance scan — the hot
 // loop of every query — walks that backing sequentially, so it prefetches
 // instead of pointer-chasing, and a million vectors cost one long-lived
-// allocation instead of a million GC-visible slices. This is why the
-// sharded store holds its own on a single core (where fan-out cannot help)
-// and pulls ahead of the flat store even before parallelism.
+// allocation instead of a million GC-visible slices.
 type Sharded struct {
 	dim int
 	// mu is shared by all normal ops and exclusive only for Load and the
@@ -111,15 +104,6 @@ type Sharded struct {
 	rescales  atomic.Int64
 	// quantWG tracks in-flight asynchronous sidecar rescales.
 	quantWG sync.WaitGroup
-	// perQuery gates the batch executor's per-query probe budget growth
-	// (EnablePerQueryProbes); perQueryGain holds the marginal-gain
-	// threshold as Float64bits, and batchEscalations counts shards scanned
-	// beyond the seeded budget.
-	perQuery         atomic.Bool
-	perQueryGain     atomic.Uint64
-	batchEscalations atomic.Int64
-	// batchQueries counts queries served through TopKBatch.
-	batchQueries atomic.Int64
 	// savedState carries a loaded serving-state trailer until a tuner
 	// exists to absorb it (Load before EnableAdaptive).
 	savedState atomic.Pointer[tunerState]
@@ -130,7 +114,7 @@ type Sharded struct {
 	// nss maps non-default namespace -> *nsState (per-tenant serving state
 	// over the shared shard geometry); defCount counts default-namespace
 	// (untagged) entries, and adaptiveCfg is the EnableAdaptive config that
-	// seeds a controller for each namespace on first touch.
+	// seeds a controller for each namespace when its state is created.
 	nss         sync.Map
 	defCount    atomic.Int64
 	adaptiveCfg atomic.Pointer[AutoConfig]
@@ -239,8 +223,8 @@ func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 // Rebalancing reports whether an incremental rebalance is draining.
 func (s *Sharded) Rebalancing() bool { return s.Epoch()%2 == 1 }
 
-// SetProbes sets the probe budget for approximate serving: TopK and
-// TopKDiverse search only the p IVF partitions ranked nearest the query.
+// SetProbes sets the probe budget for approximate serving: queries search
+// only the p IVF partitions ranked nearest the query.
 // p = 0 restores exact fan-out; negative values are rejected (a caller
 // that computed a negative budget has a bug that silently going exact
 // would mask). Probe mode only engages under a trained IVF partitioner
@@ -496,45 +480,13 @@ func (s *Sharded) Categories() []incident.Category {
 	return sortedCategories(s.CountByCategory())
 }
 
-// countByCategoryScoped is CountByCategory restricted to a namespace
-// scope — the namespace views' inventory pass. Same draining-aware ID
-// dedup as the unscoped tally.
-func (s *Sharded) countByCategoryScoped(sc scope) map[incident.Category]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[incident.Category]int)
-	draining, current := s.liveShards()
-	var seen map[string]bool
-	if draining != nil {
-		seen = make(map[string]bool, s.count.Load())
-	}
-	for _, sh := range append(append([]*shard(nil), draining...), current...) {
-		sh.mu.RLock()
-		for i := range sh.entries {
-			if !sc.match(sh.entries[i].Namespace) {
-				continue
-			}
-			if seen != nil {
-				if id := sh.entries[i].ID; seen[id] {
-					continue
-				} else {
-					seen[id] = true
-				}
-			}
-			out[sh.entries[i].Category]++
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // probeShards returns the shards a probe-limited query searches, or nil
 // when the query must fan out exactly: no probe budget, a partitioner
-// without centroid geometry (category hash), a rebalance in flight
-// (caller passes draining != nil), or a budget that already covers every
-// non-empty shard. Empty partitions are skipped so no probe is wasted on
-// a centroid with nothing behind it (TrainIVF with more shards than
-// distinct vectors leaves such shards).
+// without centroid geometry (category hash), or a budget that already
+// covers every non-empty shard. Empty partitions are skipped so no probe
+// is wasted on a centroid with nothing behind it (TrainIVF with more
+// shards than distinct vectors leaves such shards). The caller handles a
+// rebalance in flight by not probing at all.
 //
 // Under ProbeRankTimeAware (the default) populated partitions rank by the
 // same functional form the retrieval similarity uses — 1/(1+d)·e^(−α·Δt)
@@ -542,44 +494,11 @@ func (s *Sharded) countByCategoryScoped(sc scope) map[incident.Category]int {
 // partition's NEWEST entry relative to the query time, so a partition
 // holding recent incidents can out-rank a stale partition whose centroid
 // is nearer. Under ProbeRankDistance the ranking is plain centroid
-// distance. Both break ties toward the lower shard index.
-// The probe budget p is the caller's: sequential serving passes the
-// scope's effective budget (root or per-namespace), so co-tenants probe
-// independently over the same ranked partitions.
+// distance. Both break ties toward the lower shard index (stable sort over
+// the ascending-index pass). The probe budget p is the caller's: each
+// query passes its scope's effective budget (root or per-namespace), so
+// co-tenants probe independently over the same ranked partitions.
 func (s *Sharded) probeShards(g *generation, query []float64, qt time.Time, alpha float64, p int) []*shard {
-	cands := s.rankedProbeCands(g, query, qt, alpha, p)
-	if cands == nil || len(cands) <= p {
-		// No probe geometry, or the budget covers every populated
-		// partition: identical to exact fan-out, so take the exact path and
-		// keep the bit-identity guarantee trivially.
-		return nil
-	}
-	sel := make([]*shard, p)
-	for i := range sel {
-		sel[i] = cands[i].sh
-	}
-	return sel
-}
-
-// probeCand is one populated partition in probe-rank order: the ranking
-// score (rank-mode dependent) plus an optimistic best-similarity estimate
-// on the similarity scale — 1/(1+d)·e^(−α·Δt) at the partition's
-// newest-entry timestamp — which is what the batch executor's per-query
-// budget growth compares against a query's current k-th result.
-type probeCand struct {
-	sh    *shard
-	score float64
-	est   float64
-}
-
-// rankedProbeCands ranks every populated partition for a probe-limited
-// query under the caller's probe budget p, or nil when probe mode cannot
-// engage at all (no budget, no IVF geometry). The caller decides how many
-// ranked partitions to consume: probeShards takes the first p when they
-// don't already cover every populated partition; the batch executor's
-// per-query growth walks further down the ranking. Ties keep ascending
-// shard index (stable sort over the ascending-index pass).
-func (s *Sharded) rankedProbeCands(g *generation, query []float64, qt time.Time, alpha float64, p int) []probeCand {
 	if p <= 0 || p >= len(g.shard) {
 		return nil
 	}
@@ -587,338 +506,36 @@ func (s *Sharded) rankedProbeCands(g *generation, query []float64, qt time.Time,
 	if !ok {
 		return nil
 	}
+	type cand struct {
+		sh    *shard
+		score float64
+	}
 	dists := ivf.centroidDists(query)
 	timeAware := s.probeRank.Load() == ProbeRankTimeAware && alpha != 0
-	cands := make([]probeCand, 0, len(g.shard))
+	cands := make([]cand, 0, len(g.shard))
 	for i, sh := range g.shard {
 		n, newest := sh.stats()
 		if n == 0 {
 			continue
 		}
-		days := math.Abs(qt.Sub(newest).Hours()) / 24
-		est := 1 / (1 + dists[i]) * math.Exp(-alpha*days)
 		score := -dists[i] // distance-only: nearer ranks higher
 		if timeAware {
-			score = est
+			score = 1 / (1 + dists[i]) * decayAt(qt, newest, alpha)
 		}
-		cands = append(cands, probeCand{sh: sh, score: score, est: est})
+		cands = append(cands, cand{sh: sh, score: score})
+	}
+	if len(cands) <= p {
+		// The budget covers every populated partition: identical to exact
+		// fan-out, so take the exact path and keep the bit-identity
+		// guarantee trivially.
+		return nil
 	}
 	sort.SliceStable(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
-	return cands
-}
-
-// fanTopK runs the per-shard bounded-heap scan over the given shards on
-// the shared worker pool.
-func fanTopK(shards []*shard, query []float64, qt time.Time, k int, alpha float64, sc scope) ([][]Scored, error) {
-	return parallel.Map(len(shards), 0, func(i int) ([]Scored, error) {
-		return shards[i].topK(query, qt, k, alpha, sc), nil
-	})
-}
-
-// TopK returns the k most similar entries under the paper's temporal-decay
-// similarity, fanning the scan out across shards (each shard streams its
-// entries through a size-k bounded heap) and merging the per-shard heaps
-// through one final size-k heap. In exact mode (the default) results are
-// bit-identical to DB.TopK, including mid-rebalance: the draining
-// generation is scanned to completion before the target one and the merge
-// deduplicates by ID, so a migrating entry — briefly present in both —
-// counts once and never zero times. With SetProbes under IVF routing only
-// the nearest partitions are scanned (approximate; see the type comment).
-func (s *Sharded) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return s.topK(query, qt, k, alpha, false, scope{})
-}
-
-// exactTopK is TopK with probe selection forced off — the oracle path the
-// adaptive controller's shadow queries measure observed recall against.
-func (s *Sharded) exactTopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return s.topK(query, qt, k, alpha, true, scope{})
-}
-
-func (s *Sharded) topK(query []float64, qt time.Time, k int, alpha float64, forceExact bool, sc scope) ([]Scored, error) {
-	if err := checkQuery(s.dim, query, k); err != nil {
-		return nil, err
+	sel := make([]*shard, p)
+	for i := range sel {
+		sel[i] = cands[i].sh
 	}
-	nsSt := s.scopeNS(sc)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	draining, current := s.liveShards()
-
-	h := make(worstFirst, 0, k+1)
-	if draining == nil {
-		shards := current
-		probed := false
-		if !forceExact {
-			if sel := s.probeShards(s.gen, query, qt, alpha, s.probesFor(nsSt)); sel != nil {
-				shards, probed = sel, true
-			}
-		}
-		var perShard [][]Scored
-		var err error
-		if probed && s.quantized.Load() {
-			// Two-stage quantized scan: int8 candidate collection per probed
-			// shard, exact re-rank. Engages only on the probe-limited path —
-			// exact fan-out always reads the float backing.
-			of := s.overfetchFor(nsSt)
-			s.noteQuantScan(nsSt)
-			perShard, err = parallel.Map(len(shards), 0, func(i int) ([]Scored, error) {
-				return shards[i].topKQuantized(query, qt, k, of, alpha, sc), nil
-			})
-		} else {
-			perShard, err = fanTopK(shards, query, qt, k, alpha, sc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, scs := range perShard {
-			for _, sc := range scs {
-				h.offer(sc, k)
-			}
-		}
-		out := h.drain()
-		if !forceExact {
-			if t := s.tunerFor(nsSt); t != nil {
-				t.observeQuery(query, qt, k, alpha, out, probed, false, sc)
-			}
-		}
-		return out, nil
-	}
-
-	// Rebalance in flight: exact over both generations, the draining one
-	// first. Copy-before-clear migration plus this scan order guarantees
-	// every entry is seen at least once; the ID filter collapses the
-	// at-most-twice case.
-	oldRes, err := fanTopK(draining, query, qt, k, alpha, sc)
-	if err != nil {
-		return nil, err
-	}
-	newRes, err := fanTopK(current, query, qt, k, alpha, sc)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool, 2*k)
-	for _, scs := range append(oldRes, newRes...) {
-		for _, sc := range scs {
-			if seen[sc.Entry.ID] {
-				continue
-			}
-			seen[sc.Entry.ID] = true
-			h.offer(sc, k)
-		}
-	}
-	return h.drain(), nil
-}
-
-// fanCategoryBest runs the per-shard per-category scan over the given
-// shards on the shared worker pool.
-func fanCategoryBest(shards []*shard, query []float64, qt time.Time, alpha float64, sc scope) ([]map[incident.Category]Scored, error) {
-	return parallel.Map(len(shards), 0, func(i int) (map[incident.Category]Scored, error) {
-		return shards[i].categoryBest(query, qt, alpha, sc), nil
-	})
-}
-
-// TopKDiverse returns the k most similar entries with each root-cause
-// category appearing at most once (§4.2.2), fanning out across shards.
-// Each shard finds its per-category best; the merge keeps each category's
-// best across shards — keep-best is commutative, associative, and
-// idempotent under the total retrieval order, so exact-mode results are
-// identical to the flat store's regardless of shard count, routing, or an
-// in-flight rebalance (a migrating entry seen twice merges with itself).
-// With SetProbes under IVF routing only the nearest partitions are
-// scanned (approximate; see the type comment).
-func (s *Sharded) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return s.topKDiverse(query, qt, k, alpha, false, scope{})
-}
-
-// exactTopKDiverse is TopKDiverse with probe selection forced off (the
-// shadow-query oracle path).
-func (s *Sharded) exactTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return s.topKDiverse(query, qt, k, alpha, true, scope{})
-}
-
-func (s *Sharded) topKDiverse(query []float64, qt time.Time, k int, alpha float64, forceExact bool, sc scope) ([]Scored, error) {
-	if err := checkQuery(s.dim, query, k); err != nil {
-		return nil, err
-	}
-	nsSt := s.scopeNS(sc)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	draining, current := s.liveShards()
-
-	best := make(map[incident.Category]Scored)
-	mergeBest := func(perShard []map[incident.Category]Scored) {
-		for _, m := range perShard {
-			for cat, sc := range m {
-				if cur, ok := best[cat]; !ok || ranksAfter(cur, sc) {
-					best[cat] = sc
-				}
-			}
-		}
-	}
-	if draining != nil {
-		// Rebalance in flight: exact over both generations, the draining
-		// one scanned to completion first (same no-miss argument as TopK;
-		// a migrating entry seen twice merges with itself).
-		oldRes, err := fanCategoryBest(draining, query, qt, alpha, sc)
-		if err != nil {
-			return nil, err
-		}
-		mergeBest(oldRes)
-	}
-	shards := current
-	probed := false
-	if draining == nil && !forceExact {
-		if sel := s.probeShards(s.gen, query, qt, alpha, s.probesFor(nsSt)); sel != nil {
-			shards, probed = sel, true
-		}
-	}
-	if draining == nil && !probed && s.count.Load() <= diverseInlineMax {
-		// Small store: one preallocated category-best map filled across all
-		// shards in sequence beats the fan-out's per-shard map build, merge,
-		// and per-shard winner materialization — the regime where the
-		// sharded TopKDiverse used to lose to the flat store.
-		s.categoryBestInline(shards, query, qt, alpha, best, sc)
-		h := make(worstFirst, 0, k+1)
-		for _, sc := range best {
-			h.offer(sc, k)
-		}
-		out := h.drain()
-		if !forceExact {
-			if t := s.tunerFor(nsSt); t != nil {
-				t.observeQuery(query, qt, k, alpha, out, false, true, sc)
-			}
-		}
-		return out, nil
-	}
-	var perShard []map[incident.Category]Scored
-	var err error
-	if probed && s.quantized.Load() {
-		of := s.overfetchFor(nsSt)
-		s.noteQuantScan(nsSt)
-		perShard, err = parallel.Map(len(shards), 0, func(i int) (map[incident.Category]Scored, error) {
-			return shards[i].categoryBestQuantized(query, qt, k, of, alpha, sc), nil
-		})
-	} else {
-		perShard, err = fanCategoryBest(shards, query, qt, alpha, sc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mergeBest(perShard)
-	h := make(worstFirst, 0, k+1)
-	for _, sc := range best {
-		h.offer(sc, k)
-	}
-	out := h.drain()
-	if draining == nil && !forceExact {
-		if t := s.tunerFor(nsSt); t != nil {
-			t.observeQuery(query, qt, k, alpha, out, probed, true, sc)
-		}
-	}
-	return out, nil
-}
-
-// diverseInlineMax is the store size at or below which TopKDiverse takes
-// the inline single-map path instead of per-shard fan-out: small enough
-// that scan time cannot amortize per-shard map builds and merge overhead.
-const diverseInlineMax = 4096
-
-// categoryBestInline fills one shared category-best map across the given
-// shards in sequence — same comparisons (and therefore bit-identical
-// results) as the per-shard maps merged by mergeBest, without building and
-// merging a map per shard. Winners reference (shard, row) during the scan
-// and materialize once at the end: under the caller-held store read lock
-// no generation swap can start, so shards only append and row indexes stay
-// stable across the brief per-shard lock releases.
-func (s *Sharded) categoryBestInline(shards []*shard, query []float64, qt time.Time, alpha float64, best map[incident.Category]Scored, ns scope) {
-	type ref struct {
-		sh  *shard
-		idx int
-	}
-	refs := make(map[incident.Category]ref, 64)
-	for _, sh := range shards {
-		sh.mu.RLock()
-		for i := range sh.entries {
-			if !ns.match(sh.entries[i].Namespace) {
-				continue
-			}
-			d, sim := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
-			sc := Scored{Entry: sh.entries[i], Distance: d, Similarity: sim}
-			cat := sc.Entry.Category
-			if cur, ok := best[cat]; !ok || ranksAfter(cur, sc) {
-				best[cat] = sc
-				refs[cat] = ref{sh: sh, idx: i}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	for cat, r := range refs {
-		sc := best[cat]
-		r.sh.mu.RLock()
-		sc.Entry.Vector = append([]float64(nil), r.sh.row(r.idx)...)
-		r.sh.mu.RUnlock()
-		best[cat] = sc
-	}
-}
-
-// topK streams one shard's columnar rows through a bounded heap and
-// returns its local best-first top k, vectors materialized. The threshold
-// pre-check skips the Entry copy for the overwhelming majority of rows
-// that can't displace the heap root.
-func (sh *shard) topK(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.topKLocked(query, qt, k, alpha, ns)
-}
-
-// topKLocked is topK's body under a caller-held shard lock — shared with
-// the quantized path's full-precision fallback.
-func (sh *shard) topKLocked(query []float64, qt time.Time, k int, alpha float64, ns scope) []Scored {
-	h := make(worstFirst, 0, k+1)
-	for i := range sh.entries {
-		if !ns.match(sh.entries[i].Namespace) {
-			continue
-		}
-		d, s := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
-		if len(h) == k {
-			if r := &h[0]; r.Similarity > s || (r.Similarity == s && r.Entry.ID < sh.entries[i].ID) {
-				continue
-			}
-		}
-		h.offer(Scored{Entry: sh.entries[i], Distance: d, Similarity: s}, k)
-	}
-	for i := range h {
-		h[i].Entry.Vector = append([]float64(nil), sh.row(sh.byID[h[i].Entry.ID])...)
-	}
-	return h.drain()
-}
-
-// categoryBest returns the shard's best-ranked entry per category,
-// vectors materialized.
-func (sh *shard) categoryBest(query []float64, qt time.Time, alpha float64, ns scope) map[incident.Category]Scored {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.categoryBestLocked(query, qt, alpha, ns)
-}
-
-// categoryBestLocked is categoryBest's body under a caller-held shard
-// lock — shared with the quantized path's full-precision fallback.
-func (sh *shard) categoryBestLocked(query []float64, qt time.Time, alpha float64, ns scope) map[incident.Category]Scored {
-	best := make(map[incident.Category]Scored)
-	for i := range sh.entries {
-		if !ns.match(sh.entries[i].Namespace) {
-			continue
-		}
-		d, s := similarityAt(query, qt, sh.row(i), sh.entries[i].Time, alpha)
-		sc := Scored{Entry: sh.entries[i], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
-		}
-	}
-	for cat, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), sh.row(sh.byID[sc.Entry.ID])...)
-		best[cat] = sc
-	}
-	return best
+	return sel
 }
 
 // entriesSortedByIDLocked snapshots every entry across both generations,

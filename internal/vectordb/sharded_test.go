@@ -50,21 +50,21 @@ func queryGrid(t *testing.T, name string, ref, got Index, seed int64, n, dim int
 			for j := range q {
 				q[j] = float64(rng.Intn(4))
 			}
-			wantK, err := ref.TopK(q, qt, k, alpha)
+			wantK, err := topK(ref, q, qt, k, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotK, err := got.TopK(q, qt, k, alpha)
+			gotK, err := topK(got, q, qt, k, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameScored(t, fmt.Sprintf("%s TopK k=%d a=%v", name, k, alpha), gotK, wantK)
 
-			wantD, err := ref.TopKDiverse(q, qt, k, alpha)
+			wantD, err := topKDiverse(ref, q, qt, k, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := got.TopKDiverse(q, qt, k, alpha)
+			gotD, err := topKDiverse(got, q, qt, k, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			flat := New(tc.dim)
+			flat := newRef(tc.dim)
 			fillIndex(t, flat, tc.seed, tc.n, tc.dim, tc.numCats)
 			for _, shards := range shardCounts {
 				sh := NewSharded(tc.dim, shards, nil)
@@ -113,7 +113,7 @@ func TestShardedMatchesFlat(t *testing.T) {
 func TestShardedIVFMatchesFlat(t *testing.T) {
 	const seed, n, dim, numCats = 7, 300, 6, 12
 	for _, shards := range []int{2, 7, 16} {
-		flat := New(dim)
+		flat := newRef(dim)
 		fillIndex(t, flat, seed, n, dim, numCats)
 		sh := NewSharded(dim, shards, nil)
 		fillIndex(t, sh, seed, n, dim, numCats)
@@ -236,8 +236,8 @@ func TestShardedTieBreakByIDExact(t *testing.T) {
 			name string
 			call func() ([]Scored, error)
 		}{
-			{"TopK", func() ([]Scored, error) { return sh.TopK(q, at, 3, 0.3) }},
-			{"TopKDiverse", func() ([]Scored, error) { return sh.TopKDiverse(q, at, 3, 0.3) }},
+			{"TopK", func() ([]Scored, error) { return topK(sh, q, at, 3, 0.3) }},
+			{"TopKDiverse", func() ([]Scored, error) { return topKDiverse(sh, q, at, 3, 0.3) }},
 		} {
 			got, err := fn.call()
 			if err != nil {
@@ -256,7 +256,7 @@ func TestShardedTieBreakByIDExact(t *testing.T) {
 	}
 }
 
-// TestShardedValidation mirrors the flat store's rejection behaviour,
+// TestShardedValidation mirrors the reference store's rejection behaviour,
 // including duplicates whose copies would route to different shards.
 func TestShardedValidation(t *testing.T) {
 	sh := NewSharded(2, 4, nil)
@@ -277,10 +277,10 @@ func TestShardedValidation(t *testing.T) {
 	if sh.Len() != 1 {
 		t.Fatalf("len = %d after rejected adds", sh.Len())
 	}
-	if _, err := sh.TopK([]float64{1}, t0, 1, 0.3); err == nil {
+	if _, err := topK(sh, []float64{1}, t0, 1, 0.3); err == nil {
 		t.Fatal("query dim mismatch should fail")
 	}
-	if _, err := sh.TopKDiverse([]float64{1, 2}, t0, 0, 0.3); err == nil {
+	if _, err := topKDiverse(sh, []float64{1, 2}, t0, 0, 0.3); err == nil {
 		t.Fatal("k=0 should fail")
 	}
 }
@@ -324,7 +324,7 @@ func TestShardedRebalancePreservesResults(t *testing.T) {
 	fillIndex(t, sh, seed, n, dim, numCats)
 	qt := time.Date(2022, 1, 6, 0, 0, 0, 0, time.UTC)
 	q := []float64{1, 2, 0, 3}
-	before, err := sh.TopK(q, qt, 10, 0.3)
+	before, err := topK(sh, q, qt, 10, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestShardedRebalancePreservesResults(t *testing.T) {
 	if sh.NumShards() != 3 {
 		t.Fatalf("NumShards = %d after rebalance", sh.NumShards())
 	}
-	after, err := sh.TopK(q, qt, 10, 0.3)
+	after, err := topK(sh, q, qt, 10, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestShardedRebalancePreservesResults(t *testing.T) {
 // TestShardedConcurrentAddQuery hammers the sharded store with concurrent
 // writers, readers, and a mid-flight IVF retrain; run under `go test
 // -race` this proves the per-shard locking discipline and the
-// stop-the-world rebalance. The final store must match a flat reference
+// stop-the-world rebalance. The final store must match the reference store
 // filled with the same entries.
 func TestShardedConcurrentAddQuery(t *testing.T) {
 	const writers, readers, perG = 4, 4, 150
@@ -393,11 +393,11 @@ func TestShardedConcurrentAddQuery(t *testing.T) {
 			defer wg.Done()
 			q := []float64{float64(r), 1, 1, 1}
 			for i := 0; i < perG; i++ {
-				if _, err := sh.TopKDiverse(q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
+				if _, err := topKDiverse(sh, q, at.AddDate(0, 0, i%30), 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := sh.TopK(q, at, 3, 0.3); err != nil {
+				if _, err := topK(sh, q, at, 3, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -418,9 +418,9 @@ func TestShardedConcurrentAddQuery(t *testing.T) {
 		t.Fatalf("len = %d, want %d", got, want)
 	}
 
-	// After the storm: still bit-identical to a flat store with the same
+	// After the storm: still bit-identical to a reference store with the same
 	// contents.
-	flat := New(4)
+	flat := newRef(4)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}

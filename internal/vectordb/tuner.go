@@ -14,7 +14,7 @@ import (
 // (Sharded.EnableAdaptive). Two independent loops can be enabled:
 //
 //   - Recall-SLO auto-tuning (RecallTarget > 0): a fraction of live
-//     TopK/TopKDiverse queries is shadowed with an exact fan-out off the
+//     queries is shadowed with an exact fan-out off the
 //     hot path, observed recall@k feeds a controller, and the effective
 //     probe budget grows or shrinks to hold the target.
 //   - Skew-triggered retraining (RetrainSkew >= 1): per-shard imbalance
@@ -167,7 +167,8 @@ func (s *Sharded) EnableAdaptive(cfg AutoConfig) (*Tuner, error) {
 	}
 	s.tuner.Store(t)
 	// Every namespace gets its own controller over the same config: those
-	// that already exist now, later ones on first touch (nsStateFor).
+	// that already exist now, later ones as their state is created
+	// (nsStateFor).
 	s.adaptiveCfg.Store(&cfg)
 	s.nss.Range(func(_, v any) bool {
 		s.ensureNSTuner(v.(*nsState))
@@ -235,20 +236,18 @@ func (t *Tuner) ObservedRecall() (mean float64, samples int) {
 	return t.recallSum / float64(t.recallN), t.recallN
 }
 
-// observeQuery is the per-query hook the serving paths call (never
-// mid-rebalance): TopK/TopKDiverse once per call, and TopKBatch once per
-// batch member with that member's SERVED result — so under batched
-// serving the controller's observed recall measures the batched executor
-// end-to-end, per-query probe growth included, not a sequential proxy.
-// probed reports whether the result came from probe-limited search; when
-// it did not, the serving path was exact and recall is 1 by construction
-// — a free sample that lets the controller shrink back down without any
-// shadow cost. Probed samples launch an exact shadow query on its own
-// goroutine (one slot from the shared parallel budget, at most one in
-// flight) and feed observed recall@k into the controller window. The
-// shadow runs under the served query's namespace scope, so a tenant's
-// observed recall measures its own view, never a co-tenant's entries.
-func (t *Tuner) observeQuery(query []float64, qt time.Time, k int, alpha float64, approx []Scored, probed, diverse bool, sc scope) {
+// observeQuery is the per-query hook Search calls once per served query
+// (never mid-rebalance) with that query's SERVED result, so the
+// controller's observed recall measures exactly what was served, batched
+// or not. probed reports whether the result came from probe-limited
+// search; when it did not, the serving path was exact and recall is 1 by
+// construction — a free sample that lets the controller shrink back down
+// without any shadow cost. Probed samples launch an exact shadow search
+// on its own goroutine (one slot from the shared parallel budget, at most
+// one in flight) and feed observed recall@k into the controller window.
+// The shadow keeps the served query's namespace scope, so a tenant's
+// observed recall measures its own entries, never a co-tenant's.
+func (t *Tuner) observeQuery(q Query, approx []Scored, probed bool) {
 	if t.cfg.RecallTarget <= 0 || t.paused.Load() {
 		return
 	}
@@ -267,24 +266,20 @@ func (t *Tuner) observeQuery(query []float64, qt time.Time, k int, alpha float64
 	for _, sc := range approx {
 		ids[sc.Entry.ID] = true
 	}
-	// The caller owns query; copy it before the goroutine outlives the call.
-	q := append([]float64(nil), query...)
+	// The caller owns the vector; copy it before the goroutine outlives
+	// the call.
+	q.Vector = append([]float64(nil), q.Vector...)
 	t.inflight.Add(1)
 	go func() {
 		defer t.inflight.Done()
 		defer t.shadowing.Store(false)
 		granted := parallel.Reserve(1)
 		defer parallel.Release(granted)
-		var exact []Scored
-		var err error
-		if diverse {
-			exact, err = t.s.topKDiverse(q, qt, k, alpha, true, sc)
-		} else {
-			exact, err = t.s.topK(q, qt, k, alpha, true, sc)
-		}
-		if err != nil || len(exact) == 0 {
+		res, err := t.s.search([]Query{q}, true)
+		if err != nil || len(res[0]) == 0 {
 			return
 		}
+		exact := res[0]
 		// The store may have grown between the served query and this
 		// shadow; entries the probe path could not have seen then count as
 		// misses, biasing the controller conservative — acceptable, and it

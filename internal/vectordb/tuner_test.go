@@ -48,14 +48,14 @@ func TestAutoConfigValidation(t *testing.T) {
 
 // twoBlobStore builds a 4-shard IVF store over two point-blobs (each
 // blob's entries share one vector, so k-means cannot split a blob and
-// exactly 2 partitions populate) plus its flat oracle. Queries
+// exactly 2 partitions populate) plus its reference-store oracle. Queries
 // midway-but-nearer-to-A have their true top-8 spanning both blobs:
 // probes=1 yields recall 0.5, probes=2 covers every populated partition
 // and falls back to exact.
-func twoBlobStore(t *testing.T) (*DB, *Sharded, []float64) {
+func twoBlobStore(t *testing.T) (*refStore, *Sharded, []float64) {
 	t.Helper()
 	const dim = 2
-	flat := New(dim)
+	flat := newRef(dim)
 	sh := NewSharded(dim, 4, nil)
 	for i := 0; i < 4; i++ {
 		a := entry(fmt.Sprintf("A-%d", i), "cat-a", []float64{0, 0}, 0)
@@ -94,7 +94,7 @@ func TestTunerGrowsToHoldSLO(t *testing.T) {
 		t.Fatalf("controller must seed probes=1, got %d", sh.Probes())
 	}
 	for i := 0; i < 30 && sh.Probes() < 2; i++ {
-		if _, err := sh.TopK(q, t0, 8, 0.3); err != nil {
+		if _, err := topK(sh, q, t0, 8, 0.3); err != nil {
 			t.Fatal(err)
 		}
 		tn.Quiesce() // land each shadow sample deterministically
@@ -106,12 +106,12 @@ func TestTunerGrowsToHoldSLO(t *testing.T) {
 		t.Fatal("no shadow queries ran")
 	}
 	// At probes=2 every populated partition is covered: serving is exact
-	// and must stay bit-identical to the flat oracle.
-	got, err := sh.TopK(q, t0, 8, 0.3)
+	// and must stay bit-identical to the reference store.
+	got, err := topK(sh, q, t0, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := flat.TopK(q, t0, 8, 0.3)
+	want, err := topK(flat, q, t0, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTunerShrinksOverProvisioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40 && sh.Probes() > 1; i++ {
-		if _, err := sh.TopK(q, t0, 8, 0.3); err != nil {
+		if _, err := topK(sh, q, t0, 8, 0.3); err != nil {
 			t.Fatal(err)
 		}
 		tn.Quiesce()
@@ -155,7 +155,7 @@ func TestTunerHysteresis(t *testing.T) {
 	// Converge up to 2, then keep serving perfect recall for many windows:
 	// the budget must hold at 2, never dipping back to the failing 1.
 	for i := 0; i < 60; i++ {
-		if _, err := sh.TopK(q, t0, 8, 0.3); err != nil {
+		if _, err := topK(sh, q, t0, 8, 0.3); err != nil {
 			t.Fatal(err)
 		}
 		tn.Quiesce()
@@ -179,7 +179,7 @@ func TestSetProbesOverridesTuner(t *testing.T) {
 		t.Fatal("SetProbes must pause the controller")
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := sh.TopK(q, t0, 8, 0.3); err != nil {
+		if _, err := topK(sh, q, t0, 8, 0.3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestSetProbesOverridesTuner(t *testing.T) {
 		t.Fatal("EnableAdaptive must install an un-paused controller")
 	}
 	for i := 0; i < 20 && sh.Probes() < 2; i++ {
-		if _, err := sh.TopK(q, t0, 8, 0.3); err != nil {
+		if _, err := topK(sh, q, t0, 8, 0.3); err != nil {
 			t.Fatal(err)
 		}
 		tn2.Quiesce()
@@ -273,8 +273,8 @@ func TestSkewTriggeredRetrain(t *testing.T) {
 		t.Fatalf("Retrains = %d after the rate limit elapsed, want 2", got)
 	}
 	// The retrained quantizer must leave the store exact-correct: full
-	// fan-out against a rebuilt flat reference.
-	flat := New(dim)
+	// fan-out against a rebuilt reference store.
+	flat := newRef(dim)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}
@@ -345,11 +345,11 @@ func TestAdaptiveTunerHammer(t *testing.T) {
 			defer wg.Done()
 			q := []float64{float64(r), 1, 1, 1}
 			for i := 0; i < perG; i++ {
-				if _, err := sh.TopK(q, at.AddDate(0, 0, i%40), 5, 0.3); err != nil {
+				if _, err := topK(sh, q, at.AddDate(0, 0, i%40), 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := sh.TopKDiverse(q, at, 5, 0.3); err != nil {
+				if _, err := topKDiverse(sh, q, at, 5, 0.3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -392,7 +392,7 @@ func TestAdaptiveTunerHammer(t *testing.T) {
 	}
 	// The store must still agree exactly with a flat rebuild once probing
 	// is manually overridden off.
-	flat := New(dim)
+	flat := newRef(dim)
 	for _, e := range sh.snapshotSortedByID() {
 		must(t, flat.Add(e))
 	}
@@ -402,7 +402,7 @@ func TestAdaptiveTunerHammer(t *testing.T) {
 
 // TestProbeAutoTuneProperty is the seeded property test: across
 // randomized corpora, shard counts, and probe budgets, (1) exact mode
-// stays bit-identical to the flat oracle, (2) static probe-limited
+// stays bit-identical to the reference store, (2) static probe-limited
 // serving keeps recall above a lenient floor on clustered data, and
 // (3) the auto-tuner converges to hold its SLO, after which a manual
 // SetProbes(0) restores bit-identity (override semantics).
@@ -420,7 +420,7 @@ func TestProbeAutoTuneProperty(t *testing.T) {
 
 		entries, queries := clusteredCorpus(seed, n, dim, clusters)
 		qt := entries[0].Time
-		flat := New(dim)
+		flat := newRef(dim)
 		sh := NewSharded(dim, shards, nil)
 		for _, e := range entries {
 			must(t, flat.Add(e))
@@ -508,7 +508,7 @@ func TestObservedRecallFromLiveShadows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := sh.TopK(q, time.Time{}, 8, 0); err != nil {
+		if _, err := topK(sh, q, time.Time{}, 8, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

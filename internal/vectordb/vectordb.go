@@ -12,23 +12,24 @@
 // recurring incidents cluster within ~20 days, so a recent incident is a
 // far better demonstration than an old one at equal embedding distance.
 //
-// # Pluggable indexes
+// # One store, one query path
 //
-// The pipeline is written against the Index interface, with two swappable
-// implementations sharing one exact retrieval contract (similarity
-// descending, ties by ascending entry ID):
-//
-//   - DB — the flat reference store: one slice under one RWMutex. Simple,
-//     and the semantics oracle every other implementation is tested
-//     against.
-//   - Sharded — entries partitioned across N shards (category-hash routing
-//     by default, or an IVF-style coarse quantizer trained from the stored
-//     vectors via Sharded.TrainIVF) with per-shard locks; queries fan out
-//     across shards on the shared internal/parallel pool and merge
-//     deterministically, bit-identical to DB for any shard count.
-//
-// NewIndex selects an implementation from Options; both persist the same
-// flat snapshot format, so stores round-trip between implementations.
+// Sharded is the store: entries partitioned across N shards (category-hash
+// routing by default, or an IVF-style coarse quantizer trained from the
+// stored vectors via Sharded.TrainIVF) with per-shard locks. One shard is
+// the flat case; NewIndex builds it whenever Options asks for at most one.
+// Every read goes through Index.Search, which serves a slice of Query
+// values — each with its own vector, anchor time, k, decay, diversity flag
+// and namespace scope — in one pass: shards are scanned on the shared
+// internal/parallel pool (inline for small stores), and each scanned
+// shard's rows stream once for every query that selected it. The scan
+// computes each row's decay e^(−α·Δt) first and skips the distance when
+// the decay alone cannot beat the query's current k-th result (or, for a
+// diverse query, the row's category best), since the similarity never
+// exceeds the decay. Results follow one exact contract — similarity
+// descending, ties by ascending entry ID — and are bit-identical for any
+// shard count, partitioner, insert interleaving and batch composition; the
+// test suite holds them to an independent full-sort reference store.
 //
 // # Exact vs probe-limited retrieval
 //
@@ -36,13 +37,13 @@
 // (or Options.Probes):
 //
 //   - Exact (probes = 0, the default): every query searches every shard
-//     and results are BIT-IDENTICAL to the flat DB — for any shard count,
+//     and results are BIT-IDENTICAL to a full sort — for any shard count,
 //     partitioner, insert interleaving, and even while an incremental
 //     Rebalance/TrainIVF is draining shards mid-query. All pipeline
 //     goldens assume this mode.
-//   - Probe-limited (probes = p > 0, IVF routing): TopK and TopKDiverse
-//     search only the p partitions ranked nearest the query, skipping
-//     empty partitions. This is approximate — a true neighbour stored in
+//   - Probe-limited (probes = p > 0, IVF routing): queries search only
+//     the p partitions ranked nearest the query, skipping empty
+//     partitions. This is approximate — a true neighbour stored in
 //     an unprobed partition is missed — in exchange for scanning roughly
 //     p/shards of the corpus. Whenever probe mode's preconditions fail —
 //     category-hash routing, probes covering every non-empty shard, or a
@@ -83,12 +84,12 @@
 // The int8 stage engages exactly when probe-limited serving does — a
 // trained IVF partitioner routing, 0 < probes < populated shards, no
 // rebalance draining — and never elsewhere: exact fan-out (probes = 0,
-// forced-exact shadow queries, mid-rebalance queries, the flat DB) always
-// reads the float backing, so exact-mode results remain BIT-IDENTICAL to
-// the flat store with quantization on. Approximate results may differ
-// from the unquantized probe scan only within the candidate cut: whenever
-// k×overfetch covers a probed shard, its two-stage result is identical to
-// the exact scan of that shard (the fuzz oracle pins this).
+// forced-exact shadow queries, mid-rebalance queries) always reads the
+// float backing, so exact-mode results stay bit-identical with
+// quantization on. Approximate results may differ from the unquantized
+// probe scan only within the candidate cut: whenever k×overfetch covers a
+// probed shard, its two-stage result is identical to the exact scan of
+// that shard (the fuzz oracle pins this).
 //
 // Sidecars are derived state: rebuilt from shard contents on
 // Rebalance/TrainIVF and on Load (never serialized — the snapshot format
@@ -110,8 +111,8 @@
 // probe count:
 //
 //   - Recall-SLO auto-tuning: a Tuner samples a configurable fraction of
-//     live TopK/TopKDiverse queries and shadows each sampled probe-limited
-//     query with an exact fan-out OFF the hot path — the served result
+//     live queries and shadows each sampled probe-limited query with an
+//     exact fan-out OFF the hot path — the served result
 //     returns immediately; the shadow runs on its own goroutine holding
 //     one slot of the shared internal/parallel budget, at most one in
 //     flight. Observed recall@k accumulates in a window; each full window
@@ -142,82 +143,59 @@
 // (those queries are exact already), and Tuner.Quiesce is the barrier
 // that waits out in-flight shadow/retrain work where determinism matters.
 //
-// # Namespaces (multi-tenant views)
+// # Namespaces
 //
-// Index.Namespace(ns) returns a logical view of the store scoped to one
-// namespace — the unit of multi-tenant isolation (the serving layer maps
-// one incident team to one namespace). Views share everything physical
-// with the root store: the same shard pool, the same columnar backings,
-// the same worker budget, the same locks. Only the logical contract
-// changes:
+// A namespace is the unit of multi-tenant isolation (the serving layer maps
+// one incident team to one namespace). It is a tag on each entry and a
+// scope on each query; everything physical — shards, columnar backings,
+// worker budget, locks — is shared:
 //
-//   - Add through a view tags the entry with the view's namespace; Add
-//     through the root store leaves the tag empty (the DEFAULT namespace).
-//   - TopK/TopKDiverse/TopKBatch through a view scan the same shards the
-//     root store would but filter per row, returning only entries of the
-//     view's namespace — bit-identical to a dedicated flat store holding
-//     only that namespace's entries (pinned by goldens and a namespace
-//     dimension of the probe-equivalence fuzz oracle). Len, Get,
-//     Categories and CountByCategory are scoped the same way.
-//   - Namespace("") is the default-namespace view: it serves exactly the
-//     untagged entries, so on a store that never tagged anything it is
-//     indistinguishable from the root store. The ROOT store itself stays
-//     unscoped — it serves every entry regardless of tag — which is what
-//     keeps every pre-namespace golden bit-identical.
-//   - An unknown namespace is not an error: its view is simply empty
-//     (zero hits, zero length).
-//   - Save/Load operate on the WHOLE store regardless of which view they
-//     are called through — a view is a lens, not a partition.
+//   - Entry.Namespace tags an entry at Add; empty is the DEFAULT namespace.
+//   - A Query with Scoped set sees only entries tagged Query.Namespace
+//     (Namespace "" meaning the default namespace), bit-identical to a
+//     dedicated store holding only that namespace's entries. An unscoped
+//     Query sees every entry regardless of tag, which is what keeps every
+//     pre-namespace golden bit-identical.
+//   - A namespace that holds no entries is not an error: a query scoped to
+//     it returns zero hits. Reads never create namespace state; only Add
+//     and SetNamespaceProbes (and restoring persisted state) do.
+//   - Len, Get, Categories, CountByCategory, Save and Load operate on the
+//     whole store; NamespaceStats is the per-namespace inventory.
 //
-// On the sharded store each non-default namespace additionally carries its
-// own serving state over the shared shard geometry: a probe budget, a
-// quantized overfetch factor, and — when adaptive serving is enabled — its
-// own recall-SLO controller with its own shadow window, overfetch
-// escalation, and skew/retrain triggers (retrains are global, the geometry
-// is shared; the per-namespace controllers just decide independently when
-// to ask for one). SetNamespaceProbes is the per-tenant manual override;
-// NamespaceStats is the per-tenant metrics surface. The default
-// namespace's serving state is the root store's own, so single-tenant
-// deployments tune exactly as before.
+// Each non-default namespace carries its own serving state over the shared
+// shard geometry: a probe budget, a quantized overfetch factor, and — when
+// adaptive serving is enabled — its own recall-SLO controller with its own
+// shadow window, overfetch escalation, and skew/retrain triggers (retrains
+// are global, the geometry is shared; the per-namespace controllers just
+// decide independently when to ask for one). SetNamespaceProbes is the
+// per-tenant manual override; NamespaceStats is the per-tenant metrics
+// surface. The default namespace's serving state is the root store's own,
+// so single-tenant deployments tune exactly as before.
 //
-// # Batched execution (TopKBatch and Batcher)
+// # Batched execution (Search and Batcher)
 //
-// TopKBatch serves B heterogeneous queries (per-query k, anchor time,
-// decay, diversity flag) in one pass. The sharded executor inverts the
-// loop: probe selection still runs per query against the same partition
-// ranking sequential serving uses, shards are visited in the union of the
-// per-query selections, and each selected shard's backing — the columnar
-// float rows, or the int8 sidecar on the quantized path — streams ONCE
-// for every query that selected it, each maintaining its own bounded
-// heap. The scan is memory-bandwidth dominated, so the shared row stream
-// amortizes across the batch the way a blocked matmul amortizes operand
-// loads. The contract is bit-identity: because each query applies exactly
-// the sequential per-row arithmetic and consumes rows only from shards
-// its own budget selected, out[i] is BIT-IDENTICAL to serving queries[i]
+// Search inverts the query loop: probe selection runs per query, shards
+// are visited in the union of the per-query selections, and each selected
+// shard's backing — the columnar float rows, or the int8 sidecar on the
+// quantized path — streams ONCE for every query that selected it, each
+// query keeping its own bounded selection. The scan is memory-bandwidth
+// dominated, so the shared row stream amortizes across the batch the way a
+// blocked matmul amortizes operand loads. Because each query applies
+// exactly its own per-row arithmetic and consumes rows only from shards its
+// own budget selected, out[i] is BIT-IDENTICAL to Search of queries[i]
 // alone — for exact fan-out, probe-limited, quantized, and mid-rebalance
-// serving alike (pinned by goldens and the probe-equivalence fuzz
-// oracle).
+// serving alike (pinned by goldens and the probe-equivalence fuzz oracle).
 //
-// EnablePerQueryProbes relaxes that contract on request: each probed
-// batch query seeds at the tuner's converged global budget and grows its
-// own budget one partition at a time while the next-ranked partition's
-// optimistic best-similarity estimate exceeds the query's current k-th
-// result by more than a configured margin — easy queries stop at the
-// seed, hard ones escalate toward full fan-out — and the tuner's shadow
-// sampling observes the served batched results, so its recall SLO
-// measures the batched path end-to-end.
-//
-// Batcher is the serving-side micro-batcher that feeds TopKBatch: a
+// Batcher is the serving-side micro-batcher in front of Search: a
 // time/size-bounded collector that flushes when maxBatch queries have
 // accumulated or the oldest has waited maxWait, whichever comes first. A
 // query that arrives while the collector is empty and no other query
-// follows immediately is served on the single-query fast path — directly
-// through TopK/TopKDiverse, no timer wait — so idle-traffic p50 latency
-// is unchanged and batching engages exactly when concurrency makes it
-// profitable.
+// follows immediately is flushed alone, with no timer wait, so idle-traffic
+// p50 latency is unchanged and batching engages exactly when concurrency
+// makes it profitable.
 //
 // BenchmarkTopKProbes records the recall-vs-speedup trade-off against the
-// flat oracle (see BENCH_retrieval.json), and a pinned recall floor
+// exact reference (see BENCH_retrieval.json), and a pinned recall floor
 // (recall@5 >= 0.9 at probes=2 on the seeded clustered corpus) guards the
 // approximate mode in CI; BenchmarkTopKProbesTimeSpread does the same for
 // time-aware ranking and the auto-tuner on a corpus whose timestamps span
@@ -225,16 +203,16 @@
 //
 // # Durability (OpenDurable)
 //
-// Both stores are in-memory; Save/Load is an explicit whole-store
-// snapshot. OpenDurable wraps any Index in a write-ahead log
-// (internal/wal): adds, IVF retrains, serving-state changes, and the
-// feedback loop's retry-schedule transitions are journaled as
-// group-committed records, recovery replays last-snapshot + log suffix
-// into a staging store (truncating at the first torn frame) before
-// swapping it in, and periodic compaction checkpoints into the standard
-// snapshot format — trailer included — and rotates the log atomically.
+// The store is in-memory; Save/Load is an explicit whole-store snapshot.
+// OpenDurable wraps any Index in a write-ahead log (internal/wal): adds,
+// IVF retrains, serving-state changes, and the feedback loop's
+// retry-schedule transitions are journaled as group-committed records,
+// recovery replays last-snapshot + log suffix into a staging store
+// (truncating at the first torn frame) before swapping it in, and periodic
+// compaction checkpoints into the standard snapshot format — trailer
+// included — and rotates the log atomically.
 // See Durable for the full crash-safety contract; the crash-injection
-// matrix (TestDurableCrashMatrix) pins it against the flat oracle at
+// matrix (TestDurableCrashMatrix) pins it against the reference store at
 // every frame boundary.
 package vectordb
 
@@ -244,7 +222,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/incident"
@@ -257,28 +234,38 @@ type Entry struct {
 	Category incident.Category
 	Time     time.Time
 	// Namespace is the tenant tag (the owning team in the serving layer).
-	// Empty is the default namespace — the pre-namespace semantics. Set by
-	// adding through a namespace view; see the package comment's namespace
-	// contract. Gob-additive: snapshots written before this field existed
-	// load with every entry in the default namespace.
+	// Empty is the default namespace — the pre-namespace semantics. See the
+	// package comment's namespace contract. Gob-additive: snapshots written
+	// before this field existed load with every entry in the default
+	// namespace.
 	Namespace string
 	// Summary is the summarized diagnostic text shown as the demonstration
 	// body in the Figure 9 prompt.
 	Summary string
 }
 
-// scope is the per-query namespace restriction threaded through every scan
-// path. The zero value is unscoped (the root store's view: every entry
-// matches), so pre-namespace call sites compile into the exact code they
-// ran before — the filter branch is never taken.
-type scope struct {
-	on bool
-	ns string
+// Query is one retrieval of a Search call. Each query carries its own
+// anchor time, k, decay coefficient, diversity flag and namespace scope, so
+// one call can mix heterogeneous retrievals (the daemon's micro-batcher
+// coalesces whatever arrives).
+type Query struct {
+	Vector []float64
+	Time   time.Time
+	K      int
+	Alpha  float64
+	// Diverse applies the §4.2.2 category-diversity constraint: each
+	// category appears at most once among the results.
+	Diverse bool
+	// Namespace + Scoped pin the query to one namespace: when Scoped is set
+	// the query sees only entries tagged Namespace (Namespace = "" meaning
+	// the default namespace). Scoped=false (the zero value) is the unscoped
+	// query over every entry.
+	Namespace string
+	Scoped    bool
 }
 
-// match reports whether an entry with the given namespace tag is visible
-// under the scope.
-func (sc scope) match(ns string) bool { return !sc.on || sc.ns == ns }
+// sees reports whether an entry tagged ns is visible to the query.
+func (q *Query) sees(ns string) bool { return !q.Scoped || q.Namespace == ns }
 
 // Scored is a retrieval result.
 type Scored struct {
@@ -305,51 +292,37 @@ type Index interface {
 	Categories() []incident.Category
 	// CountByCategory returns how many stored incidents each category has.
 	CountByCategory() map[incident.Category]int
-	// TopK returns the k most similar entries.
-	TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error)
-	// TopKDiverse returns the k most similar entries with each category
-	// appearing at most once (§4.2.2).
-	TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error)
-	// TopKBatch executes a batch of queries — each with its own k, anchor
-	// time, decay, and diversity flag — in one pass over the store, with
-	// out[i] bit-identical to serving queries[i] alone through
-	// TopK/TopKDiverse (see the package comment's batched execution
-	// contract).
-	TopKBatch(queries []BatchQuery) ([][]Scored, error)
-	// Namespace returns a logical view of the store scoped to one tenant
-	// namespace: Add tags entries, queries filter to the namespace, and
-	// everything physical (shards, backings, worker budget) is shared with
-	// the root store. Namespace("") is the default-namespace view; see the
-	// package comment's namespace contract.
-	Namespace(ns string) Index
-	// Save serializes the store in the flat snapshot format.
+	// Search serves a batch of queries in one pass over the store, out[i]
+	// answering queries[i] and bit-identical to searching it alone (see the
+	// package comment's batched execution contract). A malformed query
+	// fails the whole call.
+	Search(queries []Query) ([][]Scored, error)
+	// Save serializes the store in the snapshot format.
 	Save(w io.Writer) error
-	// Load replaces the store contents with a snapshot written by any
-	// Index implementation's Save.
+	// Load replaces the store contents with a snapshot written by Save.
 	Load(r io.Reader) error
 }
 
-// Options selects and parameterizes an Index implementation.
+// Options parameterizes the store NewIndex builds.
 type Options struct {
 	// Shards partitions the store into this many shards with parallel
-	// query fan-out; 0 or 1 selects the flat exact store.
+	// query fan-out; 0 or 1 builds a single shard.
 	Shards int
-	// Partitioner overrides shard routing (default: category hash).
-	// Ignored when Shards selects the flat store, unless the partitioner
-	// itself carries a shard count.
+	// Partitioner overrides shard routing (default: category hash over
+	// Shards). A partitioner's own shard count takes precedence over
+	// Shards.
 	Partitioner Partitioner
-	// Probes opts the sharded store into probe-limited approximate
-	// serving: queries search only this many IVF partitions nearest the
-	// query (see the package comment's exact-vs-probe contract). 0 keeps
-	// exact fan-out; the knob is dormant until an IVF partitioner is
-	// routing (Sharded.TrainIVF). Ignored by the flat store, which is
-	// always exact; negative values are rejected by Sharded.SetProbes, so
-	// validate before constructing Options.
+	// Probes opts into probe-limited approximate serving: queries search
+	// only this many IVF partitions nearest the query (see the package
+	// comment's exact-vs-probe contract). 0 keeps exact fan-out; the knob
+	// is dormant until an IVF partitioner is routing (Sharded.TrainIVF) and
+	// more than Probes shards are populated. Negative values are rejected
+	// by Sharded.SetProbes, so validate before constructing Options.
 	Probes int
-	// RecallTarget enables the recall-SLO auto-tuner on the sharded store:
-	// shadow queries measure observed recall@k and the effective probe
-	// budget is grown/shrunk to hold this target (see
-	// Sharded.EnableAdaptive). 0 disables; ignored by the flat store.
+	// RecallTarget enables the recall-SLO auto-tuner: shadow queries
+	// measure observed recall@k and the effective probe budget is
+	// grown/shrunk to hold this target (see Sharded.EnableAdaptive). 0
+	// disables.
 	RecallTarget float64
 	// ShadowRate is the fraction of live queries the auto-tuner shadows
 	// with an exact fan-out (default 0.05 when RecallTarget is set).
@@ -357,13 +330,12 @@ type Options struct {
 	// RetrainSkew enables skew-triggered IVF retraining when >= 1: once
 	// max/mean of the per-shard entry counts — or the centroid-drift ratio
 	// of fresh inserts — reaches this value, TrainIVF is kicked
-	// automatically, rate-limited. 0 disables; ignored by the flat store.
+	// automatically, rate-limited. 0 disables.
 	RetrainSkew float64
-	// Quantized opts the sharded store into the two-stage int8 probe scan
-	// (see the package comment): probe-limited queries collect candidates
-	// from a per-shard scalar-quantized sidecar and re-rank them at full
-	// precision. Dormant until probe mode engages; exact fan-out is
-	// unaffected. Ignored by the flat store.
+	// Quantized opts into the two-stage int8 probe scan (see the package
+	// comment): probe-limited queries collect candidates from a per-shard
+	// scalar-quantized sidecar and re-rank them at full precision. Dormant
+	// until probe mode engages; exact fan-out is unaffected.
 	Quantized bool
 	// Overfetch is the candidate factor of the quantized stage: each
 	// probed shard keeps k×Overfetch int8-stage candidates for the exact
@@ -373,78 +345,35 @@ type Options struct {
 	Overfetch int
 }
 
-// NewIndex builds the Index implementation the options select: a flat DB,
-// or a Sharded store when Shards > 1 (or a partitioner is given).
+// NewIndex builds the store the options describe: a Sharded store of
+// max(1, Shards) shards (or the partitioner's count), with the probe,
+// adaptive and quantized serving modes the options enable.
 func NewIndex(dim int, opts Options) Index {
-	if opts.Shards > 1 || opts.Partitioner != nil {
-		s := NewSharded(dim, opts.Shards, opts.Partitioner)
-		if opts.Probes > 0 {
-			// Cannot fail for positive values; negatives are documented as
-			// caller-validated and keep the exact default.
-			_ = s.SetProbes(opts.Probes)
-		}
-		if opts.RecallTarget > 0 || opts.RetrainSkew > 0 {
-			// Cannot fail: the only invalid shapes (out-of-range fractions,
-			// a sub-1 skew ratio) are documented as caller-validated, and
-			// core.Config rejects them before Options is built.
-			_, _ = s.EnableAdaptive(AutoConfig{
-				RecallTarget: opts.RecallTarget,
-				ShadowRate:   opts.ShadowRate,
-				RetrainSkew:  opts.RetrainSkew,
-			})
-		}
-		if opts.Quantized {
-			// Cannot fail for non-negative Overfetch, which is documented as
-			// caller-validated.
-			_ = s.EnableQuantized(opts.Overfetch)
-		}
-		return s
+	s := NewSharded(dim, max(1, opts.Shards), opts.Partitioner)
+	if opts.Probes > 0 {
+		// Cannot fail for positive values; negatives are documented as
+		// caller-validated and keep the exact default.
+		_ = s.SetProbes(opts.Probes)
 	}
-	return New(dim)
+	if opts.RecallTarget > 0 || opts.RetrainSkew > 0 {
+		// Cannot fail: the only invalid shapes (out-of-range fractions,
+		// a sub-1 skew ratio) are documented as caller-validated, and
+		// core.Config rejects them before Options is built.
+		_, _ = s.EnableAdaptive(AutoConfig{
+			RecallTarget: opts.RecallTarget,
+			ShadowRate:   opts.ShadowRate,
+			RetrainSkew:  opts.RetrainSkew,
+		})
+	}
+	if opts.Quantized {
+		// Cannot fail for non-negative Overfetch, which is documented as
+		// caller-validated.
+		_ = s.EnableQuantized(opts.Overfetch)
+	}
+	return s
 }
 
-// DB is a concurrency-safe exact-search vector store. Vectors live in one
-// contiguous row-major backing array (the same columnar layout the sharded
-// store's per-shard scans use) so the streaming TopK pass walks a dense
-// float64 stream instead of pointer-chasing per-entry slices; the Entry
-// structs in entries carry nil Vector fields, and winners materialize
-// their vectors on the way out.
-type DB struct {
-	mu      sync.RWMutex
-	dim     int
-	entries []Entry   // Vector fields nil; see vecs
-	vecs    []float64 // row-major vector backing: entry i at [i*dim, (i+1)*dim)
-	byID    map[string]int
-	// nsCount tallies entries per namespace tag (key "" is the default
-	// namespace) so namespace views answer Len without a scan.
-	nsCount map[string]int
-}
-
-// row returns entry i's vector from the columnar backing. Caller holds
-// db.mu.
-func (db *DB) row(i int) []float64 {
-	return db.vecs[i*db.dim : (i+1)*db.dim]
-}
-
-var _ Index = (*DB)(nil)
-
-// New returns an empty store for vectors of the given dimensionality.
-func New(dim int) *DB {
-	return &DB{dim: dim, byID: make(map[string]int), nsCount: make(map[string]int)}
-}
-
-// Dim returns the vector dimensionality.
-func (db *DB) Dim() int { return db.dim }
-
-// Len returns the number of stored entries.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries)
-}
-
-// validateEntry checks an entry against the store dimensionality; shared
-// by every Index implementation so they reject identically.
+// validateEntry checks an entry against the store dimensionality.
 func validateEntry(dim int, e Entry) error {
 	if len(e.Vector) != dim {
 		return fmt.Errorf("vectordb: entry %s has dim %d, store has %d", e.ID, len(e.Vector), dim)
@@ -455,40 +384,8 @@ func validateEntry(dim int, e Entry) error {
 	return nil
 }
 
-// Add stores an entry, rejecting dimension mismatches and duplicate IDs.
-func (db *DB) Add(e Entry) error {
-	if err := validateEntry(db.dim, e); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.byID[e.ID]; dup {
-		return fmt.Errorf("vectordb: duplicate entry ID %s", e.ID)
-	}
-	db.vecs = append(db.vecs, e.Vector...)
-	e.Vector = nil
-	db.byID[e.ID] = len(db.entries)
-	db.entries = append(db.entries, e)
-	db.nsCount[e.Namespace]++
-	return nil
-}
-
-// Get returns the entry with the given ID.
-func (db *DB) Get(id string) (Entry, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	i, ok := db.byID[id]
-	if !ok {
-		return Entry{}, false
-	}
-	e := db.entries[i]
-	e.Vector = append([]float64(nil), db.row(i)...)
-	return e, true
-}
-
-// countCategoriesInto tallies entries per category into counts — the one
-// category pass shared by CountByCategory and Categories across both Index
-// implementations. Callers hold the lock guarding entries.
+// countCategoriesInto tallies entries per category into counts. Callers
+// hold the lock guarding entries.
 func countCategoriesInto(counts map[incident.Category]int, entries []Entry) {
 	for _, e := range entries {
 		counts[e.Category]++
@@ -504,22 +401,6 @@ func sortedCategories(counts map[incident.Category]int) []incident.Category {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// CountByCategory returns how many stored incidents each category has —
-// the inventory view an on-call dashboard shows.
-func (db *DB) CountByCategory() map[incident.Category]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	counts := make(map[incident.Category]int)
-	countCategoriesInto(counts, db.entries)
-	return counts
-}
-
-// Categories returns the set of distinct categories stored, derived from
-// the same locked pass as CountByCategory.
-func (db *DB) Categories() []incident.Category {
-	return sortedCategories(db.CountByCategory())
 }
 
 // Distance is the Euclidean distance of the paper's similarity formula.
@@ -539,13 +420,19 @@ func Similarity(query []float64, qt time.Time, e Entry, alpha float64) (dist, si
 }
 
 // similarityAt is Similarity over a raw (vector, time) pair, so the
-// sharded store's columnar scan can score rows without assembling an
-// Entry.
+// columnar scan can score rows without assembling an Entry.
 func similarityAt(query []float64, qt time.Time, vec []float64, et time.Time, alpha float64) (dist, sim float64) {
 	dist = Distance(query, vec)
-	days := math.Abs(qt.Sub(et).Hours()) / 24
-	sim = 1 / (1 + dist) * math.Exp(-alpha*days)
+	sim = 1 / (1 + dist) * decayAt(qt, et, alpha)
 	return dist, sim
+}
+
+// decayAt is the similarity's temporal factor e^(−α·|Δdays|). The scan
+// computes it before the distance: since sim = decay/(1+dist) <= decay, a
+// row whose decay cannot beat the current threshold skips the distance.
+func decayAt(qt, et time.Time, alpha float64) float64 {
+	days := math.Abs(qt.Sub(et).Hours()) / 24
+	return math.Exp(-alpha * days)
 }
 
 // ranksAfter reports whether a ranks strictly after (worse than) b in
@@ -588,224 +475,13 @@ func (h *worstFirst) drain() []Scored {
 	return out
 }
 
-// checkQuery validates query shape for any Index implementation.
-func checkQuery(dim int, query []float64, k int) error {
-	if len(query) != dim {
-		return fmt.Errorf("vectordb: query dim %d, store dim %d", len(query), dim)
+// checkQuery validates one query's shape.
+func checkQuery(dim int, q *Query) error {
+	if len(q.Vector) != dim {
+		return fmt.Errorf("vectordb: query dim %d, store dim %d", len(q.Vector), dim)
 	}
-	if k <= 0 {
-		return fmt.Errorf("vectordb: k must be positive, got %d", k)
+	if q.K <= 0 {
+		return fmt.Errorf("vectordb: k must be positive, got %d", q.K)
 	}
 	return nil
-}
-
-func (db *DB) checkQuery(query []float64, k int) error {
-	return checkQuery(db.dim, query, k)
-}
-
-// TopKDiverse returns the k most similar entries under the constraint that
-// each root-cause category appears at most once — the paper "select[s] the
-// top K incidents from different categories as demonstrations ... a diverse
-// and representative set" (§4.2.2). Results are ordered by similarity
-// descending; ties break by older-first ID for determinism.
-//
-// Retrieval sits on the per-incident hot path, so instead of sorting all n
-// entries (O(n log n)) this streams them once: the diversity constraint
-// means only each category's best-ranked entry can ever be selected (a
-// descending greedy scan takes the first — i.e. best — occurrence of every
-// category), so one O(n) pass finds the per-category representatives and a
-// bounded heap selects the top k among them in O(C log k).
-func (db *DB) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return db.topKDiverseScoped(query, qt, k, alpha, scope{})
-}
-
-// topKDiverseScoped is TopKDiverse restricted to a namespace scope; the
-// zero scope scans every entry (the root store's contract).
-func (db *DB) topKDiverseScoped(query []float64, qt time.Time, k int, alpha float64, ns scope) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	best := make(map[incident.Category]Scored)
-	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) {
-			continue
-		}
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		sc := Scored{Entry: db.entries[i], Distance: d, Similarity: s}
-		if cur, ok := best[sc.Entry.Category]; !ok || ranksAfter(cur, sc) {
-			best[sc.Entry.Category] = sc
-		}
-	}
-	h := make(worstFirst, 0, k+1)
-	for _, sc := range best {
-		sc.Entry.Vector = append([]float64(nil), db.row(db.byID[sc.Entry.ID])...)
-		h.offer(sc, k)
-	}
-	db.mu.RUnlock()
-	return h.drain(), nil
-}
-
-// TopK returns the k most similar entries without the category-diversity
-// constraint (used by ablations), via a single streaming pass over the
-// store with a size-k bounded heap — O(n log k) instead of the full sort's
-// O(n log n).
-func (db *DB) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return db.topKScoped(query, qt, k, alpha, scope{})
-}
-
-// topKScoped is TopK restricted to a namespace scope; the zero scope scans
-// every entry (the root store's contract).
-func (db *DB) topKScoped(query []float64, qt time.Time, k int, alpha float64, ns scope) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	db.mu.RLock()
-	h := make(worstFirst, 0, k+1)
-	for i := range db.entries {
-		if !ns.match(db.entries[i].Namespace) {
-			continue
-		}
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		if len(h) == k {
-			// Same pre-check as the sharded scan: skip the Entry copy for
-			// rows that cannot displace the heap root.
-			if r := &h[0]; r.Similarity > s || (r.Similarity == s && r.Entry.ID < db.entries[i].ID) {
-				continue
-			}
-		}
-		h.offer(Scored{Entry: db.entries[i], Distance: d, Similarity: s}, k)
-	}
-	for i := range h {
-		h[i].Entry.Vector = append([]float64(nil), db.row(db.byID[h[i].Entry.ID])...)
-	}
-	db.mu.RUnlock()
-	return h.drain(), nil
-}
-
-// sortTopK is the retained full-sort reference implementation of TopK; the
-// equivalence tests hold the heap path to it.
-func (db *DB) sortTopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	scored := db.scoreAllSorted(query, qt, alpha)
-	if len(scored) > k {
-		scored = scored[:k]
-	}
-	return scored, nil
-}
-
-// sortTopKDiverse is the retained full-sort reference implementation of
-// TopKDiverse: sort everything, then greedily take the first occurrence of
-// each category.
-func (db *DB) sortTopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, err
-	}
-	scored := db.scoreAllSorted(query, qt, alpha)
-	seen := make(map[incident.Category]bool)
-	out := make([]Scored, 0, k)
-	for _, s := range scored {
-		if seen[s.Entry.Category] {
-			continue
-		}
-		seen[s.Entry.Category] = true
-		out = append(out, s)
-		if len(out) == k {
-			break
-		}
-	}
-	return out, nil
-}
-
-// countByCategoryScoped is CountByCategory restricted to a namespace scope.
-func (db *DB) countByCategoryScoped(ns scope) map[incident.Category]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	counts := make(map[incident.Category]int)
-	for _, e := range db.entries {
-		if ns.match(e.Namespace) {
-			counts[e.Category]++
-		}
-	}
-	return counts
-}
-
-// Namespace returns a view of the flat store scoped to ns; see the package
-// comment's namespace contract.
-func (db *DB) Namespace(ns string) Index { return dbView{db: db, ns: ns} }
-
-// dbView is the flat store's namespace view: a lens over the shared DB
-// that tags on Add and filters on read. Save/Load pass through to the
-// whole store.
-type dbView struct {
-	db *DB
-	ns string
-}
-
-var _ Index = dbView{}
-
-func (v dbView) Dim() int { return v.db.Dim() }
-
-func (v dbView) Len() int {
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	return v.db.nsCount[v.ns]
-}
-
-func (v dbView) Add(e Entry) error {
-	e.Namespace = v.ns
-	return v.db.Add(e)
-}
-
-func (v dbView) Get(id string) (Entry, bool) {
-	e, ok := v.db.Get(id)
-	if !ok || e.Namespace != v.ns {
-		return Entry{}, false
-	}
-	return e, true
-}
-
-func (v dbView) CountByCategory() map[incident.Category]int {
-	return v.db.countByCategoryScoped(scope{on: true, ns: v.ns})
-}
-
-func (v dbView) Categories() []incident.Category {
-	return sortedCategories(v.CountByCategory())
-}
-
-func (v dbView) TopK(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.db.topKScoped(query, qt, k, alpha, scope{on: true, ns: v.ns})
-}
-
-func (v dbView) TopKDiverse(query []float64, qt time.Time, k int, alpha float64) ([]Scored, error) {
-	return v.db.topKDiverseScoped(query, qt, k, alpha, scope{on: true, ns: v.ns})
-}
-
-func (v dbView) TopKBatch(queries []BatchQuery) ([][]Scored, error) {
-	return v.db.TopKBatch(scopedQueries(queries, v.ns))
-}
-
-// Save writes the WHOLE store, not just the view's namespace — a view is a
-// lens, not a partition. Load likewise replaces the whole store.
-func (v dbView) Save(w io.Writer) error { return v.db.Save(w) }
-
-// Load replaces the whole underlying store; see Save.
-func (v dbView) Load(r io.Reader) error { return v.db.Load(r) }
-
-func (v dbView) Namespace(ns string) Index { return v.db.Namespace(ns) }
-
-func (db *DB) scoreAllSorted(query []float64, qt time.Time, alpha float64) []Scored {
-	db.mu.RLock()
-	scored := make([]Scored, 0, len(db.entries))
-	for i := range db.entries {
-		d, s := similarityAt(query, qt, db.row(i), db.entries[i].Time, alpha)
-		e := db.entries[i]
-		e.Vector = append([]float64(nil), db.row(i)...)
-		scored = append(scored, Scored{Entry: e, Distance: d, Similarity: s})
-	}
-	db.mu.RUnlock()
-	sort.Slice(scored, func(i, j int) bool { return ranksAfter(scored[j], scored[i]) })
-	return scored
 }

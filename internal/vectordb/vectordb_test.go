@@ -17,7 +17,7 @@ func entry(id string, cat incident.Category, v []float64, daysAgo int) Entry {
 }
 
 func TestAddAndGet(t *testing.T) {
-	db := New(3)
+	db := NewIndex(3, Options{Shards: 1})
 	if err := db.Add(entry("a", "X", []float64{1, 0, 0}, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestAddAndGet(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	db := New(3)
+	db := NewIndex(3, Options{Shards: 1})
 	if err := db.Add(entry("a", "X", []float64{1, 0}, 1)); err == nil {
 		t.Fatal("dim mismatch should fail")
 	}
@@ -50,7 +50,7 @@ func TestAddValidation(t *testing.T) {
 }
 
 func TestVectorIsolation(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	v := []float64{1, 2}
 	if err := db.Add(Entry{ID: "a", Category: "X", Vector: v, Time: t0}); err != nil {
 		t.Fatal(err)
@@ -82,14 +82,14 @@ func TestSimilarityFormula(t *testing.T) {
 }
 
 func TestTopKDiverseOneEntryPerCategory(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	// Three entries of category X at increasing distance, one Y far away.
 	must(t, db.Add(entry("x1", "X", []float64{0.1, 0}, 0)))
 	must(t, db.Add(entry("x2", "X", []float64{0.2, 0}, 0)))
 	must(t, db.Add(entry("x3", "X", []float64{0.3, 0}, 0)))
 	must(t, db.Add(entry("y1", "Y", []float64{5, 5}, 0)))
 
-	hits, err := db.TopKDiverse([]float64{0, 0}, t0, 3, 0.3)
+	hits, err := topKDiverse(db, []float64{0, 0}, t0, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestTopKDiverseOneEntryPerCategory(t *testing.T) {
 }
 
 func TestTopKWithoutDiversityReturnsDuplicateCategories(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	must(t, db.Add(entry("x1", "X", []float64{0.1, 0}, 0)))
 	must(t, db.Add(entry("x2", "X", []float64{0.2, 0}, 0)))
 	must(t, db.Add(entry("y1", "Y", []float64{5, 5}, 0)))
-	hits, err := db.TopK([]float64{0, 0}, t0, 2, 0.3)
+	hits, err := topK(db, []float64{0, 0}, t0, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestTopKWithoutDiversityReturnsDuplicateCategories(t *testing.T) {
 }
 
 func TestTemporalDecayPrefersRecent(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	// Identical vectors; one 2 days old, one 60 days old.
 	must(t, db.Add(entry("recent", "X", []float64{1, 1}, 2)))
 	must(t, db.Add(entry("ancient", "Y", []float64{1, 1}, 60)))
-	hits, err := db.TopKDiverse([]float64{1, 1}, t0, 2, 0.3)
+	hits, err := topKDiverse(db, []float64{1, 1}, t0, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestTemporalDecayPrefersRecent(t *testing.T) {
 }
 
 func TestAlphaZeroIgnoresTime(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	must(t, db.Add(entry("near-old", "X", []float64{1, 0}, 100)))
 	must(t, db.Add(entry("far-new", "Y", []float64{3, 0}, 0)))
-	hits, err := db.TopKDiverse([]float64{1, 0}, t0, 2, 0)
+	hits, err := topKDiverse(db, []float64{1, 0}, t0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,21 +149,21 @@ func TestAlphaZeroIgnoresTime(t *testing.T) {
 }
 
 func TestQueryValidation(t *testing.T) {
-	db := New(2)
+	db := NewIndex(2, Options{Shards: 1})
 	must(t, db.Add(entry("a", "X", []float64{1, 0}, 0)))
-	if _, err := db.TopKDiverse([]float64{1}, t0, 1, 0.3); err == nil {
+	if _, err := topKDiverse(db, []float64{1}, t0, 1, 0.3); err == nil {
 		t.Fatal("query dim mismatch should fail")
 	}
-	if _, err := db.TopKDiverse([]float64{1, 0}, t0, 0, 0.3); err == nil {
+	if _, err := topKDiverse(db, []float64{1, 0}, t0, 0, 0.3); err == nil {
 		t.Fatal("k=0 should fail")
 	}
-	if _, err := db.TopK([]float64{1}, t0, 1, 0.3); err == nil {
+	if _, err := topK(db, []float64{1}, t0, 1, 0.3); err == nil {
 		t.Fatal("TopK dim mismatch should fail")
 	}
 }
 
 func TestCategories(t *testing.T) {
-	db := New(1)
+	db := NewIndex(1, Options{Shards: 1})
 	must(t, db.Add(entry("a", "B", []float64{1}, 0)))
 	must(t, db.Add(entry("b", "A", []float64{2}, 0)))
 	must(t, db.Add(entry("c", "B", []float64{3}, 0)))
@@ -224,7 +224,7 @@ func clampVec(a [4]float64) []float64 {
 // non-increasing similarity order.
 func TestQuickTopKDiverseInvariants(t *testing.T) {
 	f := func(seeds [12]float64, k uint8) bool {
-		db := New(2)
+		db := NewIndex(2, Options{Shards: 1})
 		for i, s := range seeds {
 			x := math.Mod(math.Abs(s), 10)
 			if math.IsNaN(x) {
@@ -241,7 +241,7 @@ func TestQuickTopKDiverseInvariants(t *testing.T) {
 			}
 		}
 		kk := int(k%6) + 1
-		hits, err := db.TopKDiverse([]float64{1, 1}, t0, kk, 0.3)
+		hits, err := topKDiverse(db, []float64{1, 1}, t0, kk, 0.3)
 		if err != nil {
 			return false
 		}

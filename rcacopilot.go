@@ -181,8 +181,8 @@ type Config struct {
 	Chat llm.Client
 	// Shards partitions the incident history across this many vector-store
 	// shards with parallel query fan-out. 0 (unset) defaults to
-	// runtime.NumCPU(); an explicit 1 keeps the flat exact store. Retrieval
-	// results are bit-identical either way; sharding changes how the store
+	// runtime.NumCPU(); 1 keeps every entry in one shard. Retrieval results
+	// are bit-identical for any shard count; sharding changes how the store
 	// scales, not what it returns.
 	Shards int
 	// Partitioner selects shard routing when Shards > 1:
@@ -196,7 +196,7 @@ type Config struct {
 	// production deployment serving millions of historical incidents.
 	// Requires Shards > 1 with Partitioner PartitionIVF; dormant (exact)
 	// until the quantizer trains on the first AddHistory batch. 0 keeps
-	// exact fan-out, which is bit-identical to the flat store. Mutually
+	// exact fan-out, which is bit-identical for any shard count. Mutually
 	// exclusive with RecallTarget.
 	Probes int
 	// RecallTarget enables adaptive probe serving instead of a static
@@ -503,7 +503,7 @@ func (s *System) Retrieve(text string, k int, diverse bool) ([]Retrieved, error)
 	return s.copilot.Retrieve(text, s.fleet.Clock().Now(), k, diverse)
 }
 
-// RetrieveTeam is Retrieve through one team's namespace view: only that
+// RetrieveTeam is Retrieve scoped to one team's namespace: only that
 // tenant's learned history is searched (the read behind the daemon's
 // /api/retrieve?team= parameter). An unknown team returns zero hits
 // without error.
